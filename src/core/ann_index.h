@@ -9,9 +9,9 @@
 
 namespace magneto::core {
 
-/// Configuration of the approximate support-set index. Carried by both
-/// classifiers as `Options::ann`; `enable = false` (the default) keeps the
-/// exact linear scan everywhere.
+/// Configuration of the approximate row index behind `EmbeddingStore`: KNN
+/// carries it as `Options::ann`, NCM takes it through `EnableAnn`.
+/// `enable = false` (the default) keeps the exact linear scan everywhere.
 struct AnnOptions {
   /// Master switch. Even when enabled, the classifier falls back to the
   /// exact scan whenever the index is absent (vocabulary smaller than
@@ -27,21 +27,6 @@ struct AnnOptions {
   /// vocabulary holds at least this many vectors. Below it a linear scan is
   /// both faster and exact, so approximation buys nothing.
   size_t min_index_size = 1024;
-  /// Lloyd iterations for the coarse quantizer.
-  size_t kmeans_iters = 10;
-  /// Seed for the deterministic k-means init (sampling without
-  /// replacement); results are bit-identical across MAGNETO_THREADS.
-  uint64_t seed = 0x5eed;
-  /// Optional product-quantization residual codebook: probed lists are
-  /// pre-ranked by asymmetric (table-lookup) distance and only the best
-  /// `pq_shortlist` candidates are handed back for exact reranking. Cuts
-  /// the exact-distance work on very large vocabularies; composes with the
-  /// classifiers' int8 exemplar codes (the PQ codes rank, the int8 or fp32
-  /// store reranks).
-  bool use_pq = false;
-  size_t pq_subspaces = 4;    ///< residual subvector count (clamped to dim)
-  size_t pq_centroids = 16;   ///< codewords per subspace (clamped to n)
-  size_t pq_shortlist = 128;  ///< candidates kept for exact reranking
 };
 
 /// IVF-Flat approximate-nearest-neighbour index over row-major fp32
@@ -50,15 +35,15 @@ struct AnnOptions {
 /// instead of the whole set.
 ///
 /// The index only *selects candidates* — it never computes the distances a
-/// classifier acts on. Callers rerank the returned ids against their own
-/// storage (fp32 rows or int8 codes), so ANN and exact scans differ only in
-/// the candidate subset, never in distance arithmetic.
+/// classifier acts on. `EmbeddingStore` scores the returned ids against its
+/// own rows (fp32 or int8 codes), so ANN and exact scans differ only in the
+/// candidate subset, never in distance arithmetic.
 ///
 /// Determinism contract (matches the repo-wide rule): building twice with
 /// the same data/options yields bit-identical indexes at any
-/// `MAGNETO_THREADS` — the k-means assignment step is per-point independent
-/// under `ParallelFor` and the centroid update accumulates in fixed point
-/// order; queries probe lists in (distance, list id) order and emit
+/// `MAGNETO_THREADS` — the k-means init is a fixed-seed sample, the
+/// assignment step is per-point independent under `ParallelFor` and the
+/// centroid update accumulates in fixed point order; queries probe lists in (distance, list id) order and emit
 /// candidates in ascending id order within each list.
 ///
 /// Concurrency contract: immutable after `Build`; any number of threads may
@@ -68,9 +53,6 @@ class AnnIndex {
   /// Reusable per-query workspace (mirrors the classifiers' Scratch).
   struct Scratch {
     std::vector<std::pair<float, uint32_t>> centroid_dist;
-    std::vector<float> residual;                       ///< PQ: query - centroid
-    std::vector<float> adc_table;                      ///< PQ: nsub x pq_k
-    std::vector<std::pair<float, uint32_t>> shortlist;  ///< PQ candidates
   };
 
   /// Builds an index over `vectors` (rows = vectors). Fails on an empty
@@ -84,13 +66,12 @@ class AnnIndex {
   size_t dim() const { return dim_; }
   const AnnOptions& options() const { return options_; }
 
-  /// Index overhead in bytes (centroids + list structure + PQ codes); the
-  /// vectors themselves stay with the caller.
+  /// Index overhead in bytes (centroids + list structure); the vectors
+  /// themselves stay with the caller.
   size_t MemoryBytes() const;
 
   /// Appends the candidate vector ids for `query` (length `dim()`) to
-  /// `out`: the members of the `nprobe` nearest non-empty lists, pre-ranked
-  /// and truncated to `pq_shortlist` by ADC distance when PQ is on. Always
+  /// `out`: the members of the `nprobe` nearest non-empty lists. Always
   /// appends at least one candidate. Records `ann.probes` and
   /// `ann.scanned_fraction`.
   void AppendCandidates(const float* query, Scratch* scratch,
@@ -110,14 +91,6 @@ class AnnIndex {
   /// list_offsets_[l+1]), ascending within each list.
   std::vector<uint32_t> list_offsets_;
   std::vector<uint32_t> list_ids_;
-  /// PQ residual codebook (empty unless options_.use_pq): subspace s spans
-  /// columns [sub_offsets_[s], sub_offsets_[s+1]) and its pq_k_ codewords
-  /// live in rows [s * pq_k_, (s+1) * pq_k_) of pq_codebooks_.
-  size_t pq_nsub_ = 0;
-  size_t pq_k_ = 0;
-  std::vector<uint32_t> sub_offsets_;
-  Matrix pq_codebooks_;
-  std::vector<uint8_t> pq_codes_;  ///< n x nsub, indexed by vector id
 };
 
 }  // namespace magneto::core

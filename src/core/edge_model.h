@@ -96,13 +96,15 @@ class EdgeModel : public Embedder {
   // -- Model surgery (used by the incremental learner) -------------------------
 
   /// Recomputes every NCM prototype from `support` through the current
-  /// backbone. Call after any backbone update.
+  /// backbone, keeping the classifier's int8 and ANN serving config. Call
+  /// after any backbone update.
   Status RebuildPrototypes(const SupportSet& support);
 
   /// Turns the classifier's approximate prototype index on for this model
   /// (runtime serving config, never serialized). The setting survives
-  /// `RebuildPrototypes` and transactional updates — both re-train the
-  /// index on the fresh prototypes before the swap.
+  /// `RebuildPrototypes` and transactional updates — both go through
+  /// `NcmClassifier::Rebuild`, which re-trains the index on the fresh
+  /// prototypes before the swap.
   Status EnableAnn(AnnOptions options) {
     return classifier_.EnableAnn(options);
   }

@@ -102,7 +102,10 @@ Status EdgeRuntime::StartRecording() {
   }
   mode_ = RuntimeMode::kRecording;
   capture_buffer_.clear();
-  stream_buffer_.clear();  // stale inference context would straddle modes
+  // Stale inference context would straddle modes: the half-built window
+  // and the gap still owed to the last one both go.
+  stream_buffer_.clear();
+  pending_skip_ = 0;
   if (smoother_ != nullptr) smoother_->Reset();
   if (drift_monitor_ != nullptr) drift_monitor_->Reset();
   return Status::Ok();
@@ -221,6 +224,7 @@ Result<UpdateReport> EdgeRuntime::CommitUpdate() {
   model_ = std::move(outcome.model);
   support_ = std::move(outcome.support);
   stream_buffer_.clear();
+  pending_skip_ = 0;
   if (smoother_ != nullptr) smoother_->Reset();
   if (drift_monitor_ != nullptr) drift_monitor_->Reset();
   OnUpdateCommitted();

@@ -1,13 +1,12 @@
 #ifndef MAGNETO_CORE_KNN_CLASSIFIER_H_
 #define MAGNETO_CORE_KNN_CLASSIFIER_H_
 
-#include <memory>
 #include <vector>
 
-#include "common/qgemm.h"
 #include "common/result.h"
 #include "core/ann_index.h"
 #include "core/embedder.h"
+#include "core/embedding_store.h"
 #include "core/ncm_classifier.h"
 #include "core/support_set.h"
 #include "sensors/activity.h"
@@ -42,12 +41,12 @@ class KnnClassifier {
     /// themselves. Composes with `compress::QuantizeBackbone` for the fully
     /// quantized edge path.
     bool quantize_exemplars = false;
-    /// Approximate support index (IVF-Flat, optional PQ pre-ranking). When
-    /// `ann.enable` and the support set holds at least `ann.min_index_size`
-    /// exemplars, queries scan only the probed lists' candidates; otherwise
-    /// the exact linear scan runs unchanged. The index selects candidates
-    /// only — distances always come from this classifier's own store (fp32
-    /// rows or int8 codes), so ANN composes with `quantize_exemplars`.
+    /// Approximate support index (IVF-Flat). When `ann.enable` and the
+    /// support set holds at least `ann.min_index_size` exemplars, queries
+    /// scan only the probed lists' candidates; otherwise the exact linear
+    /// scan runs unchanged. The index selects candidates
+    /// only — distances always come from the exemplar store (fp32 rows or
+    /// int8 codes), so ANN composes with `quantize_exemplars`.
     AnnOptions ann;
   };
 
@@ -56,9 +55,7 @@ class KnnClassifier {
   /// instances. Predictions are byte-identical with or without one.
   struct Scratch {
     std::vector<std::pair<float, uint32_t>> dist;
-    std::vector<int8_t> q_query;  ///< int8 path: quantized query vector
-    AnnIndex::Scratch ann;
-    std::vector<uint32_t> candidates;  ///< ANN path: ids to rerank
+    EmbeddingStore::Scratch store;
   };
 
   /// Embeds every support exemplar through `embedder`.
@@ -67,23 +64,16 @@ class KnnClassifier {
                                               Options options);
 
   size_t num_examples() const { return labels_.size(); }
-  size_t embedding_dim() const { return dim_; }
+  size_t embedding_dim() const { return store_.dim(); }
   const Options& options() const { return options_; }
   /// True when queries actually go through the ANN index (built at
   /// construction because `options().ann.enable` was set and the support
   /// size reached `ann.min_index_size`). False = exact scan.
-  bool ann_active() const { return ann_index_ != nullptr; }
+  bool ann_active() const { return store_.indexed(); }
 
   /// Bytes of stored exemplar embeddings (int8 data + scales + norms when
   /// `quantize_exemplars` is set — the fp32 copy is dropped).
-  size_t MemoryBytes() const {
-    if (options_.quantize_exemplars) {
-      return quantized_.data.size() +
-             quantized_.scales.size() * sizeof(float) +
-             norms_.size() * sizeof(int32_t);
-    }
-    return embeddings_.size() * sizeof(float);
-  }
+  size_t MemoryBytes() const { return store_.MemoryBytes(); }
 
   /// Classifies one embedding: majority (or distance-weighted) vote among
   /// the k nearest stored exemplars. `Prediction::distance` is the distance
@@ -121,13 +111,8 @@ class KnnClassifier {
                           Scratch* scratch) const;
 
   Options options_;
-  size_t dim_ = 0;
-  Matrix embeddings_;  ///< num_examples x dim (fp32 path; empty when int8)
-  QuantizedRows quantized_;      ///< int8 path: per-exemplar int8 + scale
-  std::vector<int32_t> norms_;   ///< int8 path: Σqi² per exemplar
+  EmbeddingStore store_;  ///< one row per exemplar, in labels_ order
   std::vector<sensors::ActivityId> labels_;
-  /// Immutable once built; shared so copies stay cheap and identical.
-  std::shared_ptr<const AnnIndex> ann_index_;
 };
 
 }  // namespace magneto::core

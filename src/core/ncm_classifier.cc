@@ -4,19 +4,11 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-
-#include "common/qgemm.h"
-#include "obs/metrics.h"
+#include <map>
 
 namespace magneto::core {
 
 namespace {
-
-obs::Histogram* ScanHistogram() {
-  static obs::Histogram* h =
-      obs::Registry::Global().GetHistogram("ann.scan_us");
-  return h;
-}
 
 double SanitizeDistance(double d) {
   // A NaN (from a non-finite prototype or query embedding) would violate
@@ -32,46 +24,42 @@ Status NcmClassifier::SetPrototypeFromEmbeddings(sensors::ActivityId id,
     return Status::InvalidArgument("no embeddings for class " +
                                    std::to_string(id));
   }
-  if (dim_ == 0) {
-    dim_ = embeddings.cols();
-  } else if (embeddings.cols() != dim_) {
+  if (store_.dim() == 0 && store_.size() == 0) {
+    store_ = EmbeddingStore(embeddings.cols(), store_.int8());
+  } else if (embeddings.cols() != store_.dim()) {
     return Status::InvalidArgument("embedding dim mismatch: expected " +
-                                   std::to_string(dim_) + ", got " +
+                                   std::to_string(store_.dim()) + ", got " +
                                    std::to_string(embeddings.cols()));
   }
-  prototypes_[id] = embeddings.ColMean().Row(0);
-  if (quantized_scan_) QuantizeOne(id);
-  return RebuildAnnIndex();
-}
-
-void NcmClassifier::QuantizeOne(sensors::ActivityId id) {
-  std::vector<float>& proto = prototypes_[id];
-  QuantizedPrototype qp;
-  qp.q.resize(dim_);
-  qp.scale = QuantizeRowInt8(proto.data(), dim_, qp.q.data());
-  qp.norm = SquaredNormInt8(qp.q.data(), dim_);
-  // The fp32 prototype becomes the dequantized vector, keeping Prototype(),
-  // Serialize() and the scan in exact agreement.
-  for (size_t i = 0; i < dim_; ++i) {
-    proto[i] = static_cast<float>(qp.q[i]) * qp.scale;
+  const Matrix mean = embeddings.ColMean();
+  const size_t pos = LowerBound(id);
+  if (pos < ids_.size() && ids_[pos] == id) {
+    store_.Erase(pos);
+  } else {
+    ids_.insert(ids_.begin() + pos, id);
   }
-  quantized_[id] = std::move(qp);
+  store_.Insert(pos, mean.data());
+  return store_.RebuildIndex(ann_options_);
 }
 
 Status NcmClassifier::QuantizePrototypes() {
-  if (prototypes_.empty()) {
+  if (ids_.empty()) {
     return Status::FailedPrecondition("classifier has no prototypes");
   }
-  quantized_scan_ = true;
-  quantized_.clear();
-  for (const auto& [id, proto] : prototypes_) QuantizeOne(id);
+  store_ = EmbeddingStore(store_.Rows(), /*int8=*/true);
   // Quantization moved every prototype (to its dequantized value), so the
   // coarse quantizer must re-train on what the scan now sees.
-  return RebuildAnnIndex();
+  return store_.RebuildIndex(ann_options_);
 }
 
 Result<NcmClassifier> NcmClassifier::FromSupportSet(const SupportSet& support,
                                                     Embedder* embedder) {
+  NcmClassifier ncm;
+  MAGNETO_RETURN_IF_ERROR(ncm.Rebuild(support, embedder));
+  return ncm;
+}
+
+Status NcmClassifier::Rebuild(const SupportSet& support, Embedder* embedder) {
   if (embedder == nullptr) {
     return Status::InvalidArgument("embedder must not be null");
   }
@@ -80,133 +68,96 @@ Result<NcmClassifier> NcmClassifier::FromSupportSet(const SupportSet& support,
     return Status::InvalidArgument("support set is empty");
   }
 
-  // Stack every class's exemplars and embed them in one batched forward:
-  // one large pool-parallel GEMM per layer instead of num_classes small
-  // ones. Row-wise kernels make the stacked embeddings identical to the
-  // per-class ones, so the prototypes are unchanged.
-  std::vector<Matrix> exemplars;
-  exemplars.reserve(ids.size());
-  size_t total_rows = 0;
-  size_t dim = 0;
-  for (sensors::ActivityId id : ids) {
-    MAGNETO_ASSIGN_OR_RETURN(Matrix m, support.ClassExemplars(id));
-    if (m.rows() == 0) {
-      return Status::InvalidArgument("no embeddings for class " +
-                                     std::to_string(id));
-    }
-    total_rows += m.rows();
-    dim = m.cols();
-    exemplars.push_back(std::move(m));
-  }
-  Matrix stacked(total_rows, dim);
+  // Embed every exemplar in one batched forward: one large pool-parallel
+  // GEMM per layer instead of num_classes small ones. Row-wise kernels make
+  // the stacked embeddings identical to per-class ones. `AsDataset` stacks
+  // the classes in ascending id order, so class c owns the next
+  // `ClassSize` rows; the store (and its index) is then built once.
+  const Matrix embeddings = embedder->Embed(support.AsDataset().ToMatrix());
+  Matrix means(ids.size(), embeddings.cols());
   size_t row = 0;
-  for (const Matrix& m : exemplars) {
-    std::memcpy(stacked.RowPtr(row), m.data(), m.size() * sizeof(float));
-    row += m.rows();
-  }
-  Matrix embeddings = embedder->Embed(stacked);
-
-  NcmClassifier ncm;
-  row = 0;
   for (size_t c = 0; c < ids.size(); ++c) {
-    const size_t rows = exemplars[c].rows();
-    MAGNETO_RETURN_IF_ERROR(ncm.SetPrototypeFromEmbeddings(
-        ids[c], embeddings.RowSlice(row, row + rows)));
+    const size_t rows = support.ClassSize(ids[c]);
+    if (rows == 0) {
+      return Status::InvalidArgument("no embeddings for class " +
+                                     std::to_string(ids[c]));
+    }
+    const Matrix mean = embeddings.RowSlice(row, row + rows).ColMean();
+    std::memcpy(means.RowPtr(c), mean.data(), means.cols() * sizeof(float));
     row += rows;
   }
-  return ncm;
+  NcmClassifier rebuilt;
+  rebuilt.ids_ = ids;
+  rebuilt.store_ = EmbeddingStore(means, quantized());
+  rebuilt.ann_options_ = ann_options_;
+  MAGNETO_RETURN_IF_ERROR(rebuilt.store_.RebuildIndex(ann_options_));
+  *this = std::move(rebuilt);
+  return Status::Ok();
+}
+
+size_t NcmClassifier::LowerBound(sensors::ActivityId id) const {
+  return static_cast<size_t>(
+      std::lower_bound(ids_.begin(), ids_.end(), id) - ids_.begin());
+}
+
+bool NcmClassifier::HasClass(sensors::ActivityId id) const {
+  return std::binary_search(ids_.begin(), ids_.end(), id);
 }
 
 Status NcmClassifier::RemoveClass(sensors::ActivityId id) {
-  if (prototypes_.erase(id) == 0) {
+  const size_t pos = LowerBound(id);
+  if (pos == ids_.size() || ids_[pos] != id) {
     return Status::NotFound("class not in classifier: " + std::to_string(id));
   }
-  quantized_.erase(id);
-  return RebuildAnnIndex();
+  ids_.erase(ids_.begin() + pos);
+  store_.Erase(pos);
+  return store_.RebuildIndex(ann_options_);
 }
 
 Status NcmClassifier::EnableAnn(AnnOptions options) {
   options.enable = true;
   ann_options_ = options;
-  return RebuildAnnIndex();
+  return store_.RebuildIndex(ann_options_);
 }
 
 void NcmClassifier::DisableAnn() {
   ann_options_ = AnnOptions{};
-  ann_index_.reset();
-  ann_ids_.clear();
-}
-
-Status NcmClassifier::RebuildAnnIndex() {
-  ann_index_.reset();
-  ann_ids_.clear();
-  if (!ann_options_.enable ||
-      prototypes_.size() < ann_options_.min_index_size) {
-    // Exact fallback: absent index, nothing stale to consult.
-    return Status::Ok();
-  }
-  Matrix protos(prototypes_.size(), dim_);
-  ann_ids_.reserve(prototypes_.size());
-  size_t row = 0;
-  for (const auto& [id, proto] : prototypes_) {
-    std::memcpy(protos.RowPtr(row), proto.data(), dim_ * sizeof(float));
-    ann_ids_.push_back(id);
-    ++row;
-  }
-  MAGNETO_ASSIGN_OR_RETURN(AnnIndex index,
-                           AnnIndex::Build(protos, ann_options_));
-  ann_index_ = std::make_shared<const AnnIndex>(std::move(index));
-  return Status::Ok();
-}
-
-std::vector<sensors::ActivityId> NcmClassifier::Classes() const {
-  std::vector<sensors::ActivityId> out;
-  out.reserve(prototypes_.size());
-  for (const auto& [id, proto] : prototypes_) out.push_back(id);
-  return out;
+  store_.DropIndex();
 }
 
 Result<std::vector<float>> NcmClassifier::Prototype(
     sensors::ActivityId id) const {
-  auto it = prototypes_.find(id);
-  if (it == prototypes_.end()) {
+  const size_t pos = LowerBound(id);
+  if (pos == ids_.size() || ids_[pos] != id) {
     return Status::NotFound("class not in classifier: " + std::to_string(id));
   }
-  return it->second;
+  std::vector<float> proto(store_.dim());
+  store_.CopyRow(pos, proto.data());
+  return proto;
 }
 
 Status NcmClassifier::DistancesInto(const float* embedding, size_t n,
-                                    Scratch* scratch) const {
-  if (prototypes_.empty()) {
+                                    bool use_index, Scratch* scratch) const {
+  if (ids_.empty()) {
     return Status::FailedPrecondition("classifier has no prototypes");
   }
-  if (n != dim_) {
+  if (n != store_.dim()) {
     return Status::InvalidArgument("embedding dim " + std::to_string(n) +
                                    " != classifier dim " +
-                                   std::to_string(dim_));
+                                   std::to_string(store_.dim()));
   }
+  store_.Scan(embedding, use_index, &scratch->store);
+  const std::vector<uint32_t>& rows = scratch->store.rows;
+  const std::vector<double>& d2 = scratch->store.d2;
   std::vector<std::pair<sensors::ActivityId, double>>& out = scratch->dist;
   out.clear();
-  out.reserve(prototypes_.size());
-  if (quantized_scan_) {
-    // Exact-rescale int8 scan: quantize the query once, then combine exact
-    // integer dot products and norms with the two scales.
-    scratch->q_query.resize(dim_);
-    int8_t* qx = scratch->q_query.data();
-    const double sq = QuantizeRowInt8(embedding, dim_, qx);
-    const int32_t query_norm = SquaredNormInt8(qx, dim_);
-    for (const auto& [id, qp] : quantized_) {
-      const double si = qp.scale;
-      const double d2 = sq * sq * query_norm -
-                        2.0 * sq * si * DotInt8(qx, qp.q.data(), dim_) +
-                        si * si * qp.norm;
-      out.emplace_back(id, std::sqrt(std::max(0.0, d2)));
-    }
-  } else {
-    for (const auto& [id, proto] : prototypes_) {
-      out.emplace_back(id, SanitizeDistance(std::sqrt(
-                               SquaredL2(embedding, proto.data(), dim_))));
-    }
+  out.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    // fp32: the float sqrt of the float squared distance; int8: the double
+    // sqrt of the exact-rescale distance.
+    const double d = quantized() ? std::sqrt(d2[i])
+                                 : std::sqrt(static_cast<float>(d2[i]));
+    out.emplace_back(ids_[rows[i]], SanitizeDistance(d));
   }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });
@@ -219,7 +170,8 @@ NcmClassifier::Distances(const float* embedding, size_t n) const {
   // prototype (drift monitoring, calibration); only Classify routes through
   // the ANN candidate subset.
   Scratch local;
-  MAGNETO_RETURN_IF_ERROR(DistancesInto(embedding, n, &local));
+  MAGNETO_RETURN_IF_ERROR(
+      DistancesInto(embedding, n, /*use_index=*/false, &local));
   return std::move(local.dist);
 }
 
@@ -228,49 +180,8 @@ Result<Prediction> NcmClassifier::Classify(const float* embedding, size_t n,
   if (scratch == nullptr) {
     return Status::InvalidArgument("scratch must not be null");
   }
-  if (ann_index_ != nullptr) {
-    if (prototypes_.empty()) {
-      return Status::FailedPrecondition("classifier has no prototypes");
-    }
-    if (n != dim_) {
-      return Status::InvalidArgument("embedding dim " + std::to_string(n) +
-                                     " != classifier dim " +
-                                     std::to_string(dim_));
-    }
-    obs::ScopedTimer timer(ScanHistogram());
-    scratch->candidates.clear();
-    ann_index_->AppendCandidates(embedding, &scratch->ann,
-                                 &scratch->candidates);
-    std::vector<std::pair<sensors::ActivityId, double>>& out = scratch->dist;
-    out.clear();
-    if (quantized_scan_) {
-      scratch->q_query.resize(dim_);
-      int8_t* qx = scratch->q_query.data();
-      const double sq = QuantizeRowInt8(embedding, dim_, qx);
-      const int32_t query_norm = SquaredNormInt8(qx, dim_);
-      for (uint32_t c : scratch->candidates) {
-        const auto it = quantized_.find(ann_ids_[c]);
-        const QuantizedPrototype& qp = it->second;
-        const double si = qp.scale;
-        const double d2 = sq * sq * query_norm -
-                          2.0 * sq * si * DotInt8(qx, qp.q.data(), dim_) +
-                          si * si * qp.norm;
-        out.emplace_back(it->first, std::sqrt(std::max(0.0, d2)));
-      }
-    } else {
-      for (uint32_t c : scratch->candidates) {
-        const auto it = prototypes_.find(ann_ids_[c]);
-        out.emplace_back(it->first,
-                         SanitizeDistance(std::sqrt(SquaredL2(
-                             embedding, it->second.data(), dim_))));
-      }
-    }
-    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-      return a.second < b.second;
-    });
-  } else {
-    MAGNETO_RETURN_IF_ERROR(DistancesInto(embedding, n, scratch));
-  }
+  MAGNETO_RETURN_IF_ERROR(
+      DistancesInto(embedding, n, /*use_index=*/true, scratch));
 
   const std::vector<std::pair<sensors::ActivityId, double>>& distances =
       scratch->dist;
@@ -296,26 +207,37 @@ Result<Prediction> NcmClassifier::ClassifyWithRejection(
 }
 
 void NcmClassifier::Serialize(BinaryWriter* writer) const {
-  writer->WriteU64(dim_);
-  writer->WriteU64(prototypes_.size());
-  for (const auto& [id, proto] : prototypes_) {
-    writer->WriteI64(id);
+  writer->WriteU64(store_.dim());
+  writer->WriteU64(ids_.size());
+  std::vector<float> proto(store_.dim());
+  for (size_t r = 0; r < ids_.size(); ++r) {
+    store_.CopyRow(r, proto.data());
+    writer->WriteI64(ids_[r]);
     writer->WriteF32Vector(proto);
   }
 }
 
 Result<NcmClassifier> NcmClassifier::Deserialize(BinaryReader* reader) {
-  NcmClassifier ncm;
-  MAGNETO_ASSIGN_OR_RETURN(ncm.dim_, reader->ReadU64());
+  MAGNETO_ASSIGN_OR_RETURN(uint64_t dim, reader->ReadU64());
   MAGNETO_ASSIGN_OR_RETURN(uint64_t n, reader->ReadU64());
+  std::map<sensors::ActivityId, std::vector<float>> protos;
   for (uint64_t i = 0; i < n; ++i) {
     MAGNETO_ASSIGN_OR_RETURN(int64_t id, reader->ReadI64());
     MAGNETO_ASSIGN_OR_RETURN(std::vector<float> proto,
                              reader->ReadF32Vector());
-    if (proto.size() != ncm.dim_) {
+    if (proto.size() != dim) {
       return Status::Corruption("prototype dim mismatch");
     }
-    ncm.prototypes_[id] = std::move(proto);
+    if (!protos.emplace(id, std::move(proto)).second) {
+      return Status::Corruption("repeated prototype class id " +
+                                std::to_string(id));
+    }
+  }
+  NcmClassifier ncm;
+  ncm.store_ = EmbeddingStore(dim, /*int8=*/false);
+  for (const auto& [id, proto] : protos) {
+    ncm.store_.Insert(ncm.ids_.size(), proto.data());
+    ncm.ids_.push_back(id);
   }
   return ncm;
 }

@@ -1,8 +1,6 @@
 #ifndef MAGNETO_CORE_NCM_CLASSIFIER_H_
 #define MAGNETO_CORE_NCM_CLASSIFIER_H_
 
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -10,6 +8,7 @@
 #include "common/serial.h"
 #include "core/ann_index.h"
 #include "core/embedder.h"
+#include "core/embedding_store.h"
 #include "core/support_set.h"
 #include "sensors/activity.h"
 
@@ -32,6 +31,10 @@ struct Prediction {
 /// computation* — no output-layer surgery, no softmax retraining — which is
 /// why the platform can learn user activities on-device in seconds. Each
 /// prototype is the mean embedding of that class's support exemplars.
+///
+/// Storage: one `EmbeddingStore` row per prototype, in ascending
+/// `ActivityId` order, with a parallel sorted id vector. The store owns the
+/// fp32/int8 scan and the optional ANN index; this class owns the ranking.
 class NcmClassifier {
  public:
   /// Reusable per-query workspace, mirroring `KnnClassifier::Scratch`: the
@@ -41,9 +44,7 @@ class NcmClassifier {
   /// byte-identical with or without one.
   struct Scratch {
     std::vector<std::pair<sensors::ActivityId, double>> dist;
-    std::vector<int8_t> q_query;  ///< int8 path: quantized query vector
-    AnnIndex::Scratch ann;
-    std::vector<uint32_t> candidates;  ///< ANN path: prototype rows to rerank
+    EmbeddingStore::Scratch store;
   };
 
   NcmClassifier() = default;
@@ -54,18 +55,25 @@ class NcmClassifier {
                                     const Matrix& embeddings);
 
   /// Builds all prototypes from a support set, embedding every exemplar
-  /// through `embedder`. Clears previous prototypes.
+  /// through `embedder`, into a fresh fp32 exact-scan classifier.
   static Result<NcmClassifier> FromSupportSet(const SupportSet& support,
                                               Embedder* embedder);
 
+  /// Replaces every prototype with one rebuilt from `support` (embedded
+  /// through `embedder`), keeping this classifier's serving config: an int8
+  /// classifier stays int8 and an ANN-enabled one re-trains its index on the
+  /// new prototypes. The classifier is unchanged on error. This is the one
+  /// rebuild path behind `EdgeModel::RebuildPrototypes` and
+  /// `UpdateTransaction::RebuildPrototypes`.
+  Status Rebuild(const SupportSet& support, Embedder* embedder);
+
   Status RemoveClass(sensors::ActivityId id);
 
-  size_t num_classes() const { return prototypes_.size(); }
-  size_t embedding_dim() const { return dim_; }
-  bool HasClass(sensors::ActivityId id) const {
-    return prototypes_.count(id) > 0;
-  }
-  std::vector<sensors::ActivityId> Classes() const;
+  size_t num_classes() const { return ids_.size(); }
+  size_t embedding_dim() const { return store_.dim(); }
+  bool HasClass(sensors::ActivityId id) const;
+  /// Class ids in ascending order.
+  std::vector<sensors::ActivityId> Classes() const { return ids_; }
 
   Result<std::vector<float>> Prototype(sensors::ActivityId id) const;
 
@@ -104,14 +112,14 @@ class NcmClassifier {
   /// quantized (symmetric per-vector, like the support-set wire format) and
   /// queries are scanned with the exact-rescale distance
   ///   d² = sq²·Σqx² − 2·sq·si·(qx·qi) + si²·Σqi².
-  /// The stored fp32 prototypes are replaced by their dequantized values so
-  /// `Prototype`/`Serialize` describe exactly what the scan sees — which
-  /// also makes re-quantization after a round trip exact (the max-|q|
-  /// element is always ±127, so the recovered scale is bit-identical).
-  /// Prototypes added later via `SetPrototypeFromEmbeddings` are quantized
-  /// on entry. FailedPrecondition if the classifier is empty.
+  /// Only the int8 codes are kept: `Prototype`/`Serialize` report the
+  /// dequantized values, exactly what the scan sees — which also makes
+  /// re-quantization after a round trip exact (the max-|q| element is
+  /// always ±127, so the recovered scale is bit-identical). Prototypes added
+  /// later via `SetPrototypeFromEmbeddings` are quantized on entry.
+  /// FailedPrecondition if the classifier is empty.
   Status QuantizePrototypes();
-  bool quantized() const { return quantized_scan_; }
+  bool quantized() const { return store_.int8(); }
 
   // -- Approximate prototype index ---------------------------------------------
   //
@@ -122,47 +130,35 @@ class NcmClassifier {
   /// Turns the ANN path on (`options.enable` is forced true) and builds the
   /// index if the vocabulary already has `options.min_index_size` classes.
   /// Rebuild-on-mutation from then on: `SetPrototypeFromEmbeddings`,
-  /// `RemoveClass` and `QuantizePrototypes` re-train the coarse quantizer
-  /// so the index is never stale — below the size threshold the classifier
-  /// simply falls back to the exact scan.
+  /// `RemoveClass`, `QuantizePrototypes` and `Rebuild` re-train the coarse
+  /// quantizer (on the prototypes the scan sees) so the index is never
+  /// stale — below the size threshold the classifier falls back to the
+  /// exact scan.
   Status EnableAnn(AnnOptions options);
   /// Drops the index and returns to exact scans.
   void DisableAnn();
   bool ann_enabled() const { return ann_options_.enable; }
   /// True when queries actually route through the index right now.
-  bool ann_active() const { return ann_index_ != nullptr; }
+  bool ann_active() const { return store_.indexed(); }
   const AnnOptions& ann_options() const { return ann_options_; }
 
+  /// Prototypes in ascending id order, as fp32 (dequantized when int8).
   void Serialize(BinaryWriter* writer) const;
+  /// Corruption on a prototype of the wrong width or a repeated class id.
   static Result<NcmClassifier> Deserialize(BinaryReader* reader);
 
  private:
-  /// One int8-scanned prototype: quantized values, scale, exact Σq².
-  struct QuantizedPrototype {
-    std::vector<int8_t> q;
-    float scale = 1.0f;
-    int32_t norm = 0;
-  };
+  /// Index of `id` in `ids_`, or of the first larger id.
+  size_t LowerBound(sensors::ActivityId id) const;
 
-  void QuantizeOne(sensors::ActivityId id);
-
-  /// Exact full scan into `scratch->dist`, ascending by distance —
-  /// byte-identical to the pre-ANN `Distances` computation.
-  Status DistancesInto(const float* embedding, size_t n,
+  /// Scans the store (through the ANN index when `use_index`) into
+  /// `scratch->dist`, ascending by distance.
+  Status DistancesInto(const float* embedding, size_t n, bool use_index,
                        Scratch* scratch) const;
 
-  /// Retrains the coarse quantizer over the current prototypes (or drops
-  /// the index when disabled / below `min_index_size`). Called by every
-  /// prototype mutation while ANN is enabled.
-  Status RebuildAnnIndex();
-
-  size_t dim_ = 0;
-  std::map<sensors::ActivityId, std::vector<float>> prototypes_;
-  std::map<sensors::ActivityId, QuantizedPrototype> quantized_;
-  bool quantized_scan_ = false;
+  std::vector<sensors::ActivityId> ids_;  ///< ascending; row i of store_
+  EmbeddingStore store_;
   AnnOptions ann_options_;  ///< .enable records the EnableAnn decision
-  std::shared_ptr<const AnnIndex> ann_index_;  ///< immutable once built
-  std::vector<sensors::ActivityId> ann_ids_;   ///< index row -> class id
 };
 
 }  // namespace magneto::core

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -188,8 +189,8 @@ TEST(EdgeRuntimeTest, OverlappingStrideEmitsMorePredictions) {
 
 TEST(EdgeRuntimeTest, GappedStrideSkipsFrames) {
   // stride > window: windows are sampled with gaps (duty-cycled sensing, a
-  // real power-saving mode). With window 120 and stride 240, a 600-frame
-  // stream yields windows at frames [0,120) and [240,360) and [480,600).
+  // real power-saving mode). With window 120 and stride 240 the stream
+  // takes 120 frames, skips 120, takes 120, and so on.
   ModelBundle bundle = testing::SmallPretrainedBundle(410);
   // Rewire the segmentation stride via serialization round trip of a
   // modified pipeline is heavyweight; instead build a runtime whose pipeline
@@ -207,13 +208,26 @@ TEST(EdgeRuntimeTest, GappedStrideSkipsFrames) {
                       FastUpdateOptions());
 
   sensors::Frame frame{};
-  size_t emitted = 0;
-  for (int i = 0; i < 600; ++i) {
-    auto pred = runtime.PushFrame(frame);
-    ASSERT_TRUE(pred.ok());
-    if (pred.value().has_value()) ++emitted;
-  }
-  EXPECT_EQ(emitted, 3u);
+  // Pushes `frames` frames; returns the 1-based positions that closed a
+  // window.
+  auto push = [&](int frames) {
+    std::vector<int> closed;
+    for (int i = 1; i <= frames; ++i) {
+      auto pred = runtime.PushFrame(frame);
+      EXPECT_TRUE(pred.ok());
+      if (pred.ok() && pred.value().has_value()) closed.push_back(i);
+    }
+    return closed;
+  };
+  EXPECT_EQ(push(120), std::vector<int>{120});
+  // A recording drops the stream context, including the 120-frame gap
+  // still owed to the window that just closed: back in inference mode, the
+  // next window closes after exactly one window of frames.
+  ASSERT_TRUE(runtime.StartRecording().ok());
+  runtime.CancelRecording();
+  EXPECT_EQ(push(120), std::vector<int>{120});
+  // From there the gapped cadence resumes: skip 120, take 120.
+  EXPECT_EQ(push(480), (std::vector<int>{240, 480}));
 }
 
 TEST(EdgeRuntimeCheckpointTest, SaveAndRestoreRoundTrip) {

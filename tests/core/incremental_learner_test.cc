@@ -38,6 +38,54 @@ std::vector<sensors::Recording> GestureRecordings(uint64_t seed,
   return {gen.Generate(sensors::MakeGestureModel(seed), seconds)};
 }
 
+/// A deployment loaded from a wire-v3 (int8) bundle and serving through
+/// the ANN index: the serving config every rebuild path must carry across.
+Deployment DeployInt8WithAnn(uint64_t seed) {
+  ModelBundle cloud = testing::SmallPretrainedBundle(seed);
+  cloud.wire_version = kBundleWireV3;
+  MAGNETO_CHECK(cloud.classifier.QuantizePrototypes().ok());
+  ModelBundle bundle =
+      ModelBundle::FromString(cloud.SerializeToString()).value();
+  MAGNETO_CHECK(bundle.classifier.quantized());
+  SupportSet support = std::move(bundle.support);
+  EdgeModel model = std::move(bundle).ToEdgeModel();
+  AnnOptions ann;
+  ann.min_index_size = 1;
+  ann.nlist = 2;
+  ann.nprobe = 1;
+  MAGNETO_CHECK(model.EnableAnn(ann).ok());
+  return {std::move(model), std::move(support)};
+}
+
+void ExpectInt8WithAnn(const NcmClassifier& classifier) {
+  EXPECT_TRUE(classifier.quantized());
+  EXPECT_TRUE(classifier.ann_enabled());
+  EXPECT_TRUE(classifier.ann_active());
+  EXPECT_EQ(classifier.ann_options().nlist, 2u);
+  EXPECT_EQ(classifier.ann_options().nprobe, 1u);
+}
+
+TEST(IncrementalLearnerTest, LearnNewActivityKeepsInt8AndAnn) {
+  // The learner rebuilds prototypes through UpdateTransaction; an int8
+  // deployment must come out of it still scanning int8 codes.
+  Deployment dep = DeployInt8WithAnn(303);
+  IncrementalLearner learner(FastUpdateOptions());
+  auto report = learner.LearnNewActivity(&dep.model, &dep.support,
+                                         "Gesture Hi",
+                                         GestureRecordings(1));
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(dep.model.classifier().HasClass(report.value().activity));
+  ExpectInt8WithAnn(dep.model.classifier());
+}
+
+TEST(IncrementalLearnerTest, RebuildPrototypesKeepsInt8AndAnn) {
+  Deployment dep = DeployInt8WithAnn(304);
+  const size_t classes = dep.model.classifier().num_classes();
+  ASSERT_TRUE(dep.model.RebuildPrototypes(dep.support).ok());
+  EXPECT_EQ(dep.model.classifier().num_classes(), classes);
+  ExpectInt8WithAnn(dep.model.classifier());
+}
+
 TEST(IncrementalLearnerTest, LearnNewActivityRegistersAndClassifies) {
   Deployment dep = Deploy(301);
   IncrementalLearner learner(FastUpdateOptions());

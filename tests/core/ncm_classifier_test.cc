@@ -182,6 +182,39 @@ TEST(NcmClassifierTest, DeserializeRejectsDimMismatch) {
   EXPECT_FALSE(NcmClassifier::Deserialize(&r).ok());
 }
 
+TEST(NcmClassifierTest, DeserializeRejectsDuplicateClassId) {
+  // A header promising two prototypes must not load as one: the second
+  // record of class 5 used to silently overwrite the first.
+  BinaryWriter writer;
+  writer.WriteU64(2);  // dim
+  writer.WriteU64(2);  // prototypes
+  writer.WriteI64(5);
+  writer.WriteF32Vector({1.0f, 2.0f});
+  writer.WriteI64(5);
+  writer.WriteF32Vector({3.0f, 4.0f});
+  BinaryReader reader(writer.buffer());
+  EXPECT_EQ(NcmClassifier::Deserialize(&reader).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST(NcmClassifierTest, DeserializeSortsClassIds) {
+  // Records in any id order load into the ascending-id store and
+  // re-serialize in canonical order.
+  BinaryWriter writer;
+  writer.WriteU64(2);
+  writer.WriteU64(2);
+  writer.WriteI64(9);
+  writer.WriteF32Vector({10.0f, 0.0f});
+  writer.WriteI64(3);
+  writer.WriteF32Vector({0.0f, 0.0f});
+  BinaryReader reader(writer.buffer());
+  auto ncm = NcmClassifier::Deserialize(&reader);
+  ASSERT_TRUE(ncm.ok()) << ncm.status();
+  EXPECT_EQ(ncm.value().Classes(), (std::vector<sensors::ActivityId>{3, 9}));
+  EXPECT_EQ(ncm.value().Classify({9.0f, 0.0f}).value().activity, 9);
+  EXPECT_EQ(ncm.value().Prototype(9).value(), (std::vector<float>{10, 0}));
+}
+
 TEST(NcmClassifierTest, QuantizePrototypesEmptyFails) {
   NcmClassifier ncm;
   EXPECT_EQ(ncm.QuantizePrototypes().code(),
