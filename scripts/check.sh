@@ -62,7 +62,10 @@ cmake --build build-asan --target common_test core_test platform_test \
 # QuantizedLinear::Deserialize only proves itself under ASan.
 # NcmClassifierTest.Deserialize* feeds the prototype reader hand-built
 # records (wrong width, repeated class id, unsorted ids).
-./build-asan/tests/core_test --gtest_filter='ModelBundle*:NcmClassifierTest.Deserialize*:UpdateTransaction*:SupportSetTest.*Quantized*'
+# ClassifierGoldenTest.* and EmbeddingStoreTest.* drive the int8 row-scan
+# kernels (every host tier, masked tail loads included) under ASan; the
+# per-tier QGemm kernel tests run in the common_test QGemm* leg above.
+./build-asan/tests/core_test --gtest_filter='ModelBundle*:NcmClassifierTest.Deserialize*:UpdateTransaction*:SupportSetTest.*Quantized*:ClassifierGoldenTest.*:EmbeddingStoreTest.*'
 ./build-asan/tests/nn_test --gtest_filter='QuantizedLinear*:QuantizedMatrix*'
 ./build-asan/tests/integration_test \
   --gtest_filter='*QuantizedLinearPayloadFuzz*'
@@ -235,10 +238,12 @@ done
 
 # bench_ann enforces its own gates (recall@1 + speedup at 200 classes,
 # byte-identical exact fallback, bit-identical predictions across thread
-# counts); pin the artifact schema and the embedded check verdicts here.
+# counts, int8 exact scan faster than fp32); pin the artifact schema and the
+# embedded check verdicts here.
 for key in '"schema_version"' '"recall_at_1"' '"recall_at_5"' '"nprobe"' \
     '"speedup"' '"gate_recall_at_1"' '"gate_speedup"' \
-    '"exact_fallback_byte_identical"' '"thread_count_bit_identical"'; do
+    '"exact_fallback_byte_identical"' '"thread_count_bit_identical"' \
+    '"int8_over_fp32_exact"' '"int8_kernel_tier"'; do
   grep -q "$key" BENCH_ann.json \
     || { echo "bench_ann: BENCH_ann.json missing $key" >&2; exit 1; }
 done

@@ -63,6 +63,20 @@ void ParallelFor(size_t begin, size_t end, size_t grain,
 size_t ParallelThreads();
 void SetParallelThreads(size_t n);
 
+/// `ParallelFor` for per-request hot paths: a range that fits in one chunk
+/// calls `fn` directly, and a longer one passes the pool a one-reference
+/// wrapper that fits std::function's small buffer. Neither heap-allocates a
+/// callable. The chunk sequence is the same as `ParallelFor`'s.
+template <typename Fn>
+void ParallelForChunks(size_t begin, size_t end, size_t grain, const Fn& fn) {
+  if (end <= begin) return;
+  if (end - begin <= grain) {
+    fn(begin, end);
+    return;
+  }
+  ParallelFor(begin, end, grain, [&fn](size_t b, size_t e) { fn(b, e); });
+}
+
 }  // namespace magneto
 
 #endif  // MAGNETO_COMMON_PARALLEL_H_

@@ -20,6 +20,11 @@ namespace magneto {
 /// Integer accumulation is exact and order-independent, so the parallel
 /// kernel and the serial reference produce bit-identical outputs at any
 /// `MAGNETO_THREADS` setting — the property the bit-comparison tests pin.
+///
+/// The integer inner loops come from one kernel table per process, chosen at
+/// first use from the CPU's features (portable, AVX2 or AVX-512-VNNI).
+/// Every tier returns the same exact int32 sums and all float arithmetic is
+/// compiled once outside them, so outputs are bit-identical on every tier.
 
 /// Largest inner dimension the int32 accumulators tolerate: every int8×int8
 /// product has magnitude ≤ 127·127, so k products stay below 2^31 as long as
@@ -71,9 +76,18 @@ bool QGemmEnabled();
 /// the environment variable from the moment it is called.
 void SetQGemmEnabled(bool enabled);
 
-/// Exact int32 dot product of two int8 vectors (classifier scans). Requires
-/// n ≤ kQGemmMaxK.
+/// Exact int32 dot product of two int8 vectors. Requires n ≤ kQGemmMaxK.
 int32_t DotInt8(const int8_t* a, const int8_t* b, size_t n);
+
+/// Exact dots[t] = DotInt8(query, rows + row_ids[t]·dim, dim) for every
+/// t < count, with the query widened once per call (classifier scans).
+/// Requires dim ≤ kQGemmMaxK.
+void DotInt8Rows(const int8_t* query, const int8_t* rows, size_t dim,
+                 const uint32_t* row_ids, size_t count, int32_t* dots);
+
+/// Name of the int8 kernel tier this process runs: "portable", "avx2" or
+/// "avx512_vnni".
+const char* Int8KernelTier();
 
 /// Exact Σ v[i]² for an int8 vector (precomputed exemplar norms). Requires
 /// n ≤ kQGemmMaxK.

@@ -13,24 +13,14 @@ namespace magneto::core {
 namespace {
 
 /// Rows per scan chunk; chunking is identical at every thread count. A scan
-/// of one chunk (every NCM vocabulary in practice) calls the loop directly:
-/// wrapping it in ParallelFor's std::function would heap-allocate per query,
-/// and bench_parallel_scaling gates classify at zero allocations.
+/// of one chunk (every NCM vocabulary in practice) runs inline without
+/// allocating: bench_parallel_scaling gates classify at zero allocations.
 constexpr size_t kScanGrain = 2048;
 
 obs::Histogram* ScanHistogram() {
   static obs::Histogram* h =
       obs::Registry::Global().GetHistogram("ann.scan_us");
   return h;
-}
-
-template <typename Fn>
-void ForChunks(size_t count, const Fn& fn) {
-  if (count <= kScanGrain) {
-    fn(size_t{0}, count);
-  } else {
-    ParallelFor(0, count, kScanGrain, fn);
-  }
 }
 
 }  // namespace
@@ -134,7 +124,7 @@ void EmbeddingStore::Score(const float* query, Scratch* scratch) const {
   scratch->d2.resize(count);
   double* d2 = scratch->d2.data();
   if (!int8_) {
-    ForChunks(count, [&](size_t lo, size_t hi) {
+    ParallelForChunks(0, count, kScanGrain, [&](size_t lo, size_t hi) {
       for (size_t i = lo; i < hi; ++i) {
         d2[i] = SquaredL2(query, values_.data() + rows[i] * dim_, dim_);
       }
@@ -145,13 +135,15 @@ void EmbeddingStore::Score(const float* query, Scratch* scratch) const {
   int8_t* qx = scratch->q_query.data();
   const double sq = QuantizeRowInt8(query, dim_, qx);
   const int32_t query_norm = SquaredNormInt8(qx, dim_);
-  ForChunks(count, [&](size_t lo, size_t hi) {
+  scratch->dots.resize(count);
+  int32_t* dots = scratch->dots.data();
+  ParallelForChunks(0, count, kScanGrain, [&](size_t lo, size_t hi) {
+    // One kernel call per chunk, then the exact-rescale epilogue over it.
+    DotInt8Rows(qx, codes_.data(), dim_, rows + lo, hi - lo, dots + lo);
     for (size_t i = lo; i < hi; ++i) {
       const size_t r = rows[i];
       const double si = scales_[r];
-      const double d = sq * sq * query_norm -
-                       2.0 * sq * si * DotInt8(qx, codes_.data() + r * dim_,
-                                               dim_) +
+      const double d = sq * sq * query_norm - 2.0 * sq * si * dots[i] +
                        si * si * norms_[r];
       d2[i] = std::max(0.0, d);
     }

@@ -14,9 +14,11 @@ namespace magneto::core {
 /// The row store behind both support-set classifiers: one NCM prototype or
 /// one KNN exemplar embedding per row, stored contiguously as fp32 or as
 /// symmetric per-row int8 codes with the row scale and exact Σq². An int8
-/// scan quantizes the query once and uses the exact-rescale distance
+/// scan quantizes the query once, takes the exact int32 dot products of a
+/// chunk of rows in one `DotInt8Rows` call, and then applies the
+/// exact-rescale distance
 ///   d² = sq²·Σqx² − 2·sq·si·(qx·qi) + si²·Σqi²
-/// (exact int32 dot product and norms, one double combination per row).
+/// over that chunk (one double combination per row).
 ///
 /// An optional IVF index narrows a scan to candidate rows; it never computes
 /// a distance, so indexed and full scans differ only in the rows visited.
@@ -27,6 +29,7 @@ class EmbeddingStore {
  public:
   struct Scratch {
     std::vector<int8_t> q_query;  ///< int8 store: the quantized query
+    std::vector<int32_t> dots;    ///< int8 store: query·row per visited row
     AnnIndex::Scratch ann;
     std::vector<uint32_t> rows;  ///< rows the last scan visited, in order
     std::vector<double> d2;      ///< their squared distances

@@ -71,10 +71,11 @@ void QuantizedLinear::Forward(const Matrix& input, bool /*training*/,
   MAGNETO_CHECK(input.cols() == in_dim_);
   if (QGemmEnabled()) {
     // Quantize the activations per row, then run the integer GEMM. The
-    // scratch is call-local so one immutable layer can serve concurrent
-    // forwards. Output is bit-identical across thread counts: integer
-    // accumulation is exact and the scale fold is a fixed float sequence.
-    QuantizedRows qx;
+    // scratch is thread-local, so one immutable layer can serve concurrent
+    // forwards and a steady stream of them allocates nothing. Output is
+    // bit-identical across thread counts: integer accumulation is exact and
+    // the scale fold is a fixed float sequence.
+    thread_local QuantizedRows qx;
     QuantizeRowsInt8(input, &qx);
     QGemmInt8(qx, weight_.data.data(), in_dim_, out_dim_,
               weight_.scales.data(), bias_.data(), output);

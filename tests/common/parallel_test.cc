@@ -1,8 +1,10 @@
 #include "common/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -60,6 +62,40 @@ TEST_F(ParallelTest, ChunkBoundariesDependOnlyOnRangeAndGrain) {
   ASSERT_EQ(serial.size(), (250u - 3u + 16u) / 17u);
   EXPECT_EQ(serial.front().first, 3u);
   EXPECT_EQ(serial.back().second, 250u);
+}
+
+TEST_F(ParallelTest, ForChunksKeepsParallelForChunking) {
+  auto boundaries = [](size_t threads, size_t begin, size_t end, bool chunks) {
+    SetParallelThreads(threads);
+    std::vector<std::pair<size_t, size_t>> seen(100);
+    std::atomic<size_t> count{0};
+    auto body = [&](size_t lo, size_t hi) {
+      seen[count.fetch_add(1)] = {lo, hi};
+    };
+    if (chunks) {
+      ParallelForChunks(begin, end, 17, body);
+    } else {
+      ParallelFor(begin, end, 17, body);
+    }
+    seen.resize(count.load());
+    std::sort(seen.begin(), seen.end());
+    return seen;
+  };
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    EXPECT_EQ(boundaries(threads, 3, 250, true),
+              boundaries(threads, 3, 250, false));
+    EXPECT_EQ(boundaries(threads, 3, 20, true),
+              (std::vector<std::pair<size_t, size_t>>{{3, 20}}));
+    EXPECT_TRUE(boundaries(threads, 5, 5, true).empty());
+  }
+  // A range of one chunk runs on the calling thread.
+  SetParallelThreads(8);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  ParallelForChunks(0, 17, 17, [&](size_t, size_t) {
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, caller);
 }
 
 TEST_F(ParallelTest, NestedParallelForRunsInlineAndCorrectly) {

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/int8_kernels.h"
+#include "common/qgemm.h"
 #include "core/knn_classifier.h"
 #include "core/ncm_classifier.h"
 
@@ -163,29 +165,55 @@ uint64_t KnnDigest(bool int8, bool ann) {
   return digest.value();
 }
 
+constexpr uint64_t kNcmFp32Exact = 0xe0e6e16c9e51e136ULL;
+constexpr uint64_t kNcmFp32Ann = 0x8378d70cb166ae37ULL;
+constexpr uint64_t kNcmInt8Exact = 0xd6600398d36828a8ULL;
+constexpr uint64_t kNcmInt8Ann = 0x09fe1e74770fa775ULL;
+constexpr uint64_t kKnnFp32Exact = 0x067723f5f32ab143ULL;
+constexpr uint64_t kKnnFp32Ann = 0xe84373e306acb32dULL;
+constexpr uint64_t kKnnInt8Exact = 0x11db9a03a3c195a7ULL;
+constexpr uint64_t kKnnInt8Ann = 0x914b8b6dfc3e66b7ULL;
+
 TEST(ClassifierGoldenTest, NcmFp32Exact) {
-  EXPECT_EQ(NcmDigest(false, false), 0xe0e6e16c9e51e136ULL);
+  EXPECT_EQ(NcmDigest(false, false), kNcmFp32Exact);
 }
 TEST(ClassifierGoldenTest, NcmFp32Ann) {
-  EXPECT_EQ(NcmDigest(false, true), 0x8378d70cb166ae37ULL);
+  EXPECT_EQ(NcmDigest(false, true), kNcmFp32Ann);
 }
 TEST(ClassifierGoldenTest, NcmInt8Exact) {
-  EXPECT_EQ(NcmDigest(true, false), 0xd6600398d36828a8ULL);
+  EXPECT_EQ(NcmDigest(true, false), kNcmInt8Exact);
 }
 TEST(ClassifierGoldenTest, NcmInt8Ann) {
-  EXPECT_EQ(NcmDigest(true, true), 0x09fe1e74770fa775ULL);
+  EXPECT_EQ(NcmDigest(true, true), kNcmInt8Ann);
 }
 TEST(ClassifierGoldenTest, KnnFp32Exact) {
-  EXPECT_EQ(KnnDigest(false, false), 0x067723f5f32ab143ULL);
+  EXPECT_EQ(KnnDigest(false, false), kKnnFp32Exact);
 }
 TEST(ClassifierGoldenTest, KnnFp32Ann) {
-  EXPECT_EQ(KnnDigest(false, true), 0xe84373e306acb32dULL);
+  EXPECT_EQ(KnnDigest(false, true), kKnnFp32Ann);
 }
 TEST(ClassifierGoldenTest, KnnInt8Exact) {
-  EXPECT_EQ(KnnDigest(true, false), 0x11db9a03a3c195a7ULL);
+  EXPECT_EQ(KnnDigest(true, false), kKnnInt8Exact);
 }
 TEST(ClassifierGoldenTest, KnnInt8Ann) {
-  EXPECT_EQ(KnnDigest(true, true), 0x914b8b6dfc3e66b7ULL);
+  EXPECT_EQ(KnnDigest(true, true), kKnnInt8Ann);
+}
+
+// The same eight digests with the int8 kernels forced to each tier the host
+// supports: the tiers return exact integers, so no digest may move.
+TEST(ClassifierGoldenTest, EveryInt8KernelTier) {
+  for (int8_kernels::Tier tier : int8_kernels::HostTiers()) {
+    int8_kernels::ScopedTier scoped(tier);
+    SCOPED_TRACE(Int8KernelTier());
+    EXPECT_EQ(NcmDigest(false, false), kNcmFp32Exact);
+    EXPECT_EQ(NcmDigest(false, true), kNcmFp32Ann);
+    EXPECT_EQ(NcmDigest(true, false), kNcmInt8Exact);
+    EXPECT_EQ(NcmDigest(true, true), kNcmInt8Ann);
+    EXPECT_EQ(KnnDigest(false, false), kKnnFp32Exact);
+    EXPECT_EQ(KnnDigest(false, true), kKnnFp32Ann);
+    EXPECT_EQ(KnnDigest(true, false), kKnnInt8Exact);
+    EXPECT_EQ(KnnDigest(true, true), kKnnInt8Ann);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 #include "nn/quantized_linear.h"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include <gtest/gtest.h>
 
+#include "common/int8_kernels.h"
 #include "common/parallel.h"
 #include "common/qgemm.h"
 #include "nn/sequential.h"
@@ -142,6 +144,40 @@ TEST(QuantizedLinearTest, KernelBitIdenticalAcrossThreads) {
   for (size_t i = 0; i < y_ref.size(); ++i) {
     EXPECT_NEAR(y_anchor.data()[i], y_ref.data()[i], 0.02f * scale + 1e-3f);
   }
+}
+
+// The same contract per int8 kernel tier: every tier the host supports, at
+// several thread counts, writes the portable tier's exact bytes. The input
+// is half zeros (post-ReLU) and the widths are not multiples of any vector
+// width, so compaction and every column tail are exercised.
+TEST(QuantizedLinearTest, EveryKernelTierBitIdentical) {
+  Linear fp32 = RandomLinear(131, 70, 21);
+  auto q = MustFromLinear(fp32);
+  Matrix x = RandomMatrix(9, 131, 22, 2.0);
+  for (size_t i = 0; i < x.size(); i += 2) x.data()[i] = 0.0f;
+
+  const size_t saved_threads = ParallelThreads();
+  SetQGemmEnabled(true);
+  Matrix y_anchor;
+  {
+    int8_kernels::ScopedTier portable(int8_kernels::Tier::kPortable);
+    SetParallelThreads(1);
+    q->Forward(x, /*training=*/false, /*state=*/nullptr, &y_anchor);
+  }
+  for (int8_kernels::Tier tier : int8_kernels::HostTiers()) {
+    int8_kernels::ScopedTier scoped(tier);
+    for (size_t threads : {size_t{1}, size_t{3}, size_t{8}}) {
+      SetParallelThreads(threads);
+      Matrix y;
+      q->Forward(x, /*training=*/false, /*state=*/nullptr, &y);
+      ASSERT_TRUE(y.SameShape(y_anchor));
+      ASSERT_EQ(std::memcmp(y.data(), y_anchor.data(),
+                            y.size() * sizeof(float)),
+                0)
+          << Int8KernelTier() << " with " << threads << " threads";
+    }
+  }
+  SetParallelThreads(saved_threads);
 }
 
 TEST(QuantizedLinearTest, MaxWeightErrorSmall) {

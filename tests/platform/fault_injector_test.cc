@@ -78,7 +78,9 @@ TEST(FaultInjectorTest, ApplyBitFlipChangesExactlyOneBit) {
   EXPECT_TRUE(FaultInjector::Apply(decision, &payload));
   EXPECT_EQ(payload[10], 0x08);
   for (size_t i = 0; i < payload.size(); ++i) {
-    if (i != 10) EXPECT_EQ(payload[i], '\0');
+    if (i != 10) {
+      EXPECT_EQ(payload[i], '\0');
+    }
   }
 }
 

@@ -93,9 +93,15 @@ TEST(FeatureDatasetTest, ShufflePreservesPairing) {
   // original label in MakeDataset.
   for (size_t i = 0; i < ds.size(); ++i) {
     const float first = ds.Row(i)[0];
-    if (first == 1.0f || first == 5.0f) EXPECT_EQ(ds.Label(i), 0);
-    if (first == 3.0f || first == 7.0f) EXPECT_EQ(ds.Label(i), 1);
-    if (first == 9.0f) EXPECT_EQ(ds.Label(i), 2);
+    if (first == 1.0f || first == 5.0f) {
+      EXPECT_EQ(ds.Label(i), 0);
+    }
+    if (first == 3.0f || first == 7.0f) {
+      EXPECT_EQ(ds.Label(i), 1);
+    }
+    if (first == 9.0f) {
+      EXPECT_EQ(ds.Label(i), 2);
+    }
   }
 }
 
