@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -70,27 +71,66 @@ TEST(EdgeFleetTest, CreateValidatesInputs) {
   EXPECT_EQ(fleet.value()->deployment_version(), 1u);
 }
 
-TEST(EdgeFleetTest, SingleSessionMatchesEdgeRuntime) {
-  // A fleet of one must be byte-for-byte the single-session runtime: same
-  // bundle, same frames, identical prediction stream.
-  core::ModelBundle runtime_bundle = testing::SmallPretrainedBundle(802);
+/// Seed-built bundle whose pipeline segments with the given window and
+/// stride (stride > window samples the stream with gaps).
+core::ModelBundle SegmentedBundle(uint64_t seed, size_t window_samples,
+                                  size_t stride) {
+  core::CloudConfig config = testing::SmallCloudConfig();
+  config.pipeline.segmentation.window_samples = window_samples;
+  config.pipeline.segmentation.stride = stride;
+  core::CloudInitializer cloud(config);
+  auto bundle = cloud.Initialize(testing::SmallCorpus(seed),
+                                 sensors::ActivityRegistry::BaseActivities());
+  MAGNETO_CHECK(bundle.ok());
+  return std::move(bundle).value();
+}
+
+/// The per-session post-processing both sides arm in the parity test.
+struct StreamExtras {
+  bool enabled = false;
+  core::PredictionSmoother::Options smoother{.window = 3};
+  core::DriftMonitor::Options drift{.window = 3, .min_confidence = 0.9};
+};
+
+/// Streams the same frames through an `EdgeRuntime` and a one-session
+/// `EdgeFleet` built from identical bundles, and requires identical output
+/// on every frame: the published (smoothed, when armed) prediction, the
+/// drift verdict and the journal totals. Returns the prediction count.
+size_t ExpectSingleSessionParity(
+    const std::function<core::ModelBundle()>& make_bundle,
+    const StreamExtras& extras) {
+  core::ModelBundle runtime_bundle = make_bundle();
   core::SupportSet support = std::move(runtime_bundle.support);
   core::EdgeRuntime runtime(std::move(runtime_bundle).ToEdgeModel(),
                             std::move(support), FastUpdateOptions());
-  auto fleet =
-      EdgeFleet::Create(testing::SmallPretrainedBundle(802), 1).value();
+  FleetOptions options;
+  if (extras.enabled) {
+    runtime.EnableSmoothing(extras.smoother);
+    runtime.EnableDriftMonitoring(extras.drift);
+    runtime.EnableJournal();
+    options.enable_smoothing = true;
+    options.smoother = extras.smoother;
+    options.enable_drift_monitoring = true;
+    options.drift = extras.drift;
+    options.enable_journal = true;
+  }
+  auto fleet = EdgeFleet::Create(make_bundle(), 1, options).value();
 
   std::vector<sensors::Frame> frames = ActivityFrames(sensors::kWalk, 3.0, 5);
   std::vector<sensors::Frame> more = ActivityFrames(sensors::kStill, 3.0, 6);
   frames.insert(frames.end(), more.begin(), more.end());
+  more = ActivityFrames(sensors::kRun, 3.0, 7);
+  frames.insert(frames.end(), more.begin(), more.end());
 
   size_t predictions = 0;
+  size_t drifting_windows = 0;
   for (const sensors::Frame& frame : frames) {
     auto from_runtime = runtime.PushFrame(frame);
     auto from_fleet = fleet->PushFrame(0, frame);
-    ASSERT_TRUE(from_runtime.ok());
-    ASSERT_TRUE(from_fleet.ok());
-    ASSERT_EQ(from_runtime.value().has_value(),
+    EXPECT_TRUE(from_runtime.ok());
+    EXPECT_TRUE(from_fleet.ok());
+    if (!from_runtime.ok() || !from_fleet.ok()) return predictions;
+    EXPECT_EQ(from_runtime.value().has_value(),
               from_fleet.value().has_value());
     if (!from_fleet.value().has_value()) continue;
     ++predictions;
@@ -100,9 +140,48 @@ TEST(EdgeFleetTest, SingleSessionMatchesEdgeRuntime) {
     EXPECT_EQ(std::memcmp(&a.prediction, &b.prediction,
                           sizeof(core::Prediction)),
               0);
+    EXPECT_EQ(runtime.Drifting(), fleet->Drifting(0));
+    if (runtime.Drifting()) ++drifting_windows;
   }
-  EXPECT_GE(predictions, 5u);
   EXPECT_EQ(fleet->session_stats(0).predictions, predictions);
+  EXPECT_EQ(runtime.stats().predictions, predictions);
+  if (extras.enabled) {
+    // The armed monitor must both raise and clear at least once over the
+    // three activities, or the Drifting() comparison above proves nothing.
+    EXPECT_GT(drifting_windows, 0u);
+    EXPECT_LT(drifting_windows, predictions);
+    EXPECT_NE(runtime.journal(), nullptr);
+    EXPECT_NE(fleet->journal(0), nullptr);
+    if (runtime.journal() == nullptr || fleet->journal(0) == nullptr) {
+      return predictions;
+    }
+    EXPECT_EQ(runtime.journal()->Totals(), fleet->journal(0)->Totals());
+    EXPECT_EQ(runtime.journal()->bouts().size(),
+              fleet->journal(0)->bouts().size());
+    EXPECT_EQ(runtime.journal()->elapsed_seconds(),
+              fleet->journal(0)->elapsed_seconds());
+  } else {
+    EXPECT_EQ(runtime.journal(), nullptr);
+    EXPECT_EQ(fleet->journal(0), nullptr);
+  }
+  return predictions;
+}
+
+TEST(EdgeFleetTest, SingleSessionMatchesEdgeRuntime) {
+  // A fleet of one must be byte-for-byte the single-session runtime: same
+  // bundle, same frames, identical prediction stream.
+  const auto plain = [] { return testing::SmallPretrainedBundle(802); };
+  EXPECT_GE(ExpectSingleSessionParity(plain, {}), 8u);
+  // Smoothing, drift monitoring and the journal applied in the same order
+  // on both sides.
+  StreamExtras extras;
+  extras.enabled = true;
+  EXPECT_GE(ExpectSingleSessionParity(plain, extras), 8u);
+  // Gapped stride (window 120, stride 240): both sides take 120 frames and
+  // drop the next 120, so 9 s at 120 Hz closes 5 windows.
+  const auto gapped = [] { return SegmentedBundle(804, 120, 240); };
+  EXPECT_EQ(ExpectSingleSessionParity(gapped, {}), 5u);
+  EXPECT_EQ(ExpectSingleSessionParity(gapped, extras), 5u);
 }
 
 TEST(EdgeFleetTest, SessionsHaveIndependentState) {
