@@ -34,7 +34,8 @@ MAGNETO_THREADS=8 ./build-tsan/tests/nn_test \
 # (the row store behind both classifiers), concurrent ANN-routed NCM
 # classify, and the thread-count determinism contract of the k-means build
 # — plus (inside the platform_test EdgeFleet* filter) an ANN deployment
-# serving concurrent sessions across a mid-run promotion swap.
+# serving concurrent sessions across a mid-run promotion swap, with every
+# session's PredictionStream reset under its session mutex.
 MAGNETO_THREADS=8 ./build-tsan/tests/core_test \
   --gtest_filter='AsyncUpdaterStressTest.*:KnnClassifierTest.Concurrent*:AnnIndexTest.Concurrent*:AnnIndexTest.DeterministicAcrossThreadCounts:EmbeddingStoreTest.Concurrent*:NcmClassifierTest.ConcurrentAnn*'
 MAGNETO_THREADS=8 ./build-tsan/tests/platform_test \
@@ -65,7 +66,10 @@ cmake --build build-asan --target common_test core_test platform_test \
 # ClassifierGoldenTest.* and EmbeddingStoreTest.* drive the int8 row-scan
 # kernels (every host tier, masked tail loads included) under ASan; the
 # per-tier QGemm kernel tests run in the common_test QGemm* leg above.
-./build-asan/tests/core_test --gtest_filter='ModelBundle*:NcmClassifierTest.Deserialize*:UpdateTransaction*:SupportSetTest.*Quantized*:ClassifierGoldenTest.*:EmbeddingStoreTest.*'
+# PredictionStreamTest.* drives the shared frame -> window deque (overlapping
+# and gapped strides, resets mid-window), and the int8 checkpoint test takes
+# a wire-v3 runtime through learn -> auto-checkpoint -> reload.
+./build-asan/tests/core_test --gtest_filter='ModelBundle*:NcmClassifierTest.Deserialize*:UpdateTransaction*:SupportSetTest.*Quantized*:ClassifierGoldenTest.*:EmbeddingStoreTest.*:PredictionStreamTest.*:EdgeRuntimeCheckpointTest.Int8CheckpointStaysWireV3'
 ./build-asan/tests/nn_test --gtest_filter='QuantizedLinear*:QuantizedMatrix*'
 ./build-asan/tests/integration_test \
   --gtest_filter='*QuantizedLinearPayloadFuzz*'

@@ -44,13 +44,6 @@ Result<NamedPrediction> EdgeModel::InferFeatures(
 }
 
 Result<NamedPrediction> EdgeModel::InferFeatures(
-    const std::vector<float>& features,
-    nn::ForwardWorkspace* workspace) const {
-  NcmClassifier::Scratch local;
-  return InferFeatures(features, workspace, &local);
-}
-
-Result<NamedPrediction> EdgeModel::InferFeatures(
     const std::vector<float>& features, nn::ForwardWorkspace* workspace,
     NcmClassifier::Scratch* scratch) const {
   const size_t expected = backbone_.InputDim();
@@ -62,13 +55,17 @@ Result<NamedPrediction> EdgeModel::InferFeatures(
   Matrix batch(1, features.size(), features);
   const Matrix& emb =
       backbone_.Forward(batch, workspace, /*training=*/false);
-  Result<Prediction> pred =
-      rejection_threshold_ > 0.0
-          ? classifier_.ClassifyWithRejection(emb.RowPtr(0), emb.cols(),
-                                              rejection_threshold_, scratch)
-          : classifier_.Classify(emb.RowPtr(0), emb.cols(), scratch);
-  if (!pred.ok()) return pred.status();
-  return WithName(pred.value());
+  MAGNETO_ASSIGN_OR_RETURN(Prediction pred,
+                           Classify(emb.RowPtr(0), emb.cols(), scratch));
+  return WithName(pred);
+}
+
+Result<Prediction> EdgeModel::Classify(const float* embedding, size_t n,
+                                       NcmClassifier::Scratch* scratch) const {
+  return rejection_threshold_ > 0.0
+             ? classifier_.ClassifyWithRejection(embedding, n,
+                                                 rejection_threshold_, scratch)
+             : classifier_.Classify(embedding, n, scratch);
 }
 
 Result<NamedPrediction> EdgeModel::InferWindow(const Matrix& raw_window) {

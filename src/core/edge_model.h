@@ -15,6 +15,8 @@
 
 namespace magneto::core {
 
+struct ModelBundle;
+
 /// A prediction enriched with the human-readable activity name.
 struct NamedPrediction {
   Prediction prediction;
@@ -65,18 +67,23 @@ class EdgeModel : public Embedder {
   /// Classifies an already-preprocessed feature vector.
   Result<NamedPrediction> InferFeatures(const std::vector<float>& features);
 
-  /// Concurrent-serving variant: embeds through `workspace` instead of the
-  /// model's own scratch, leaving the model untouched — `Forward` is const
-  /// (PR 6), so N threads may call this on one shared model, each with its
-  /// own workspace. `CloudServer::RemoteInfer` serves through this path.
-  /// The overload taking a `NcmClassifier::Scratch` additionally keeps the
-  /// classifier scan allocation-free (same ownership rule as the
-  /// workspace: one instance per thread).
-  Result<NamedPrediction> InferFeatures(const std::vector<float>& features,
-                                        nn::ForwardWorkspace* workspace) const;
+  /// Concurrent-serving variant: embeds through `workspace` and scans
+  /// through `scratch` instead of the model's own, leaving the model
+  /// untouched — `Forward` is const, so N threads may call this on one
+  /// shared model, each with its own workspace and scratch.
+  /// `CloudServer::RemoteInfer` serves through this path.
   Result<NamedPrediction> InferFeatures(const std::vector<float>& features,
                                         nn::ForwardWorkspace* workspace,
                                         NcmClassifier::Scratch* scratch) const;
+
+  /// Labels one embedding (NCM, open-set rejection when a threshold is set):
+  /// the classify step of every inference path, `EdgeFleet`'s included.
+  Result<Prediction> Classify(const float* embedding, size_t n,
+                              NcmClassifier::Scratch* scratch) const;
+
+  /// Attaches the registry name ("Unknown" for a rejection, "#<id>" for an
+  /// id the registry does not know).
+  NamedPrediction WithName(const Prediction& prediction) const;
 
   /// Evaluates on a labeled feature dataset; returns (truth, predicted)
   /// pairs for metric computation.
@@ -143,7 +150,7 @@ class EdgeModel : public Embedder {
   size_t BackboneBytes() const;
 
  private:
-  NamedPrediction WithName(const Prediction& prediction) const;
+  friend struct ModelBundle;  // FromEdgeModel moves the parts out
 
   preprocess::Pipeline pipeline_;
   nn::Sequential backbone_;

@@ -39,24 +39,6 @@ EdgeRuntime::EdgeRuntime(EdgeModel model, SupportSet support,
       learner_(options),
       sample_rate_hz_(sample_rate_hz) {}
 
-Matrix EdgeRuntime::TakeWindow() {
-  const auto& seg = model_.pipeline().config().segmentation;
-  Matrix window(seg.window_samples, sensors::kNumChannels);
-  for (size_t r = 0; r < seg.window_samples; ++r) {
-    const sensors::Frame& f = stream_buffer_[r];
-    for (size_t c = 0; c < sensors::kNumChannels; ++c) {
-      window.At(r, c) = f[c];
-    }
-  }
-  // Advance by the stride. With stride > window (gapped sampling) the
-  // surplus frames have not arrived yet; remember how many to discard.
-  const size_t advance = std::min(seg.stride, stream_buffer_.size());
-  stream_buffer_.erase(stream_buffer_.begin(),
-                       stream_buffer_.begin() + advance);
-  pending_skip_ = seg.stride - advance;
-  return window;
-}
-
 Result<std::optional<NamedPrediction>> EdgeRuntime::PushFrame(
     const sensors::Frame& frame) {
   ++stats_.frames;
@@ -65,34 +47,22 @@ Result<std::optional<NamedPrediction>> EdgeRuntime::PushFrame(
     capture_buffer_.push_back(frame);
     return std::optional<NamedPrediction>{};
   }
-  if (pending_skip_ > 0) {
-    --pending_skip_;
-    return std::optional<NamedPrediction>{};
-  }
-  stream_buffer_.push_back(frame);
-  const auto& seg = model_.pipeline().config().segmentation;
-  if (stream_buffer_.size() < seg.window_samples) {
-    return std::optional<NamedPrediction>{};
-  }
-  Matrix window = TakeWindow();
+  std::optional<Matrix> window =
+      stream_.Push(frame, model_.pipeline().config().segmentation);
+  if (!window.has_value()) return std::optional<NamedPrediction>{};
   ++stats_.windows;
   Metrics().windows->Increment();
   obs::TraceSpan span("EdgeRuntime::Classify");
   obs::ScopedTimer classify_timer(Metrics().classify_us);
-  MAGNETO_ASSIGN_OR_RETURN(NamedPrediction pred, model_.InferWindow(window));
+  MAGNETO_ASSIGN_OR_RETURN(NamedPrediction pred, model_.InferWindow(*window));
   ++stats_.predictions;
   Metrics().predictions->Increment();
   if (pred.prediction.is_unknown()) Metrics().rejections->Increment();
-  if (smoother_ != nullptr) {
-    const sensors::ActivityId raw_activity = pred.prediction.activity;
-    pred = smoother_->Push(pred);
-    if (pred.prediction.activity != raw_activity) {
-      Metrics().smoother_overrides->Increment();
-    }
+  const sensors::ActivityId raw_activity = pred.prediction.activity;
+  pred = stream_.Publish(std::move(pred));
+  if (pred.prediction.activity != raw_activity) {
+    Metrics().smoother_overrides->Increment();
   }
-  if (drift_monitor_ != nullptr) drift_monitor_->Observe(pred.prediction);
-  if (journal_ != nullptr) journal_->Record(pred);
-  last_prediction_ = pred;
   return std::optional<NamedPrediction>(std::move(pred));
 }
 
@@ -102,12 +72,8 @@ Status EdgeRuntime::StartRecording() {
   }
   mode_ = RuntimeMode::kRecording;
   capture_buffer_.clear();
-  // Stale inference context would straddle modes: the half-built window
-  // and the gap still owed to the last one both go.
-  stream_buffer_.clear();
-  pending_skip_ = 0;
-  if (smoother_ != nullptr) smoother_->Reset();
-  if (drift_monitor_ != nullptr) drift_monitor_->Reset();
+  // Stale inference context would straddle modes.
+  stream_.Reset();
   return Status::Ok();
 }
 
@@ -223,22 +189,13 @@ Result<UpdateReport> EdgeRuntime::CommitUpdate() {
   // Atomic from the caller's perspective: between PushFrame calls.
   model_ = std::move(outcome.model);
   support_ = std::move(outcome.support);
-  stream_buffer_.clear();
-  pending_skip_ = 0;
-  if (smoother_ != nullptr) smoother_->Reset();
-  if (drift_monitor_ != nullptr) drift_monitor_->Reset();
+  stream_.Reset();
   OnUpdateCommitted();
   return std::move(outcome.report);
 }
 
 ModelBundle EdgeRuntime::ToBundle() const {
-  ModelBundle bundle;
-  bundle.pipeline = model_.pipeline();
-  bundle.backbone = model_.backbone().Clone();
-  bundle.classifier = model_.classifier();
-  bundle.registry = model_.registry();
-  bundle.support = support_;
-  return bundle;
+  return ModelBundle::FromEdgeModel(model_.Clone(), support_);
 }
 
 std::string EdgeRuntime::LastKnownGoodPath(const std::string& path) {
@@ -283,30 +240,9 @@ Result<EdgeRuntime> EdgeRuntime::FromCheckpoint(const std::string& path,
                      options, sample_rate_hz);
 }
 
-void EdgeRuntime::EnableSmoothing(PredictionSmoother::Options options) {
-  smoother_ = std::make_unique<PredictionSmoother>(options);
-}
-
-void EdgeRuntime::DisableSmoothing() { smoother_.reset(); }
-
-void EdgeRuntime::EnableDriftMonitoring(DriftMonitor::Options options,
-                                        double baseline_distance) {
-  drift_monitor_ = std::make_unique<DriftMonitor>(options);
-  drift_monitor_->SetBaselineDistance(baseline_distance);
-}
-
-void EdgeRuntime::DisableDriftMonitoring() { drift_monitor_.reset(); }
-
-bool EdgeRuntime::Drifting() const {
-  return drift_monitor_ != nullptr && drift_monitor_->drifting();
-}
-
 void EdgeRuntime::EnableJournal() {
-  const auto& seg = model_.pipeline().config().segmentation;
-  journal_ = std::make_unique<ActivityJournal>(
-      sample_rate_hz_ > 0
-          ? static_cast<double>(seg.stride) / sample_rate_hz_
-          : 1.0);
+  stream_.EnableJournal(model_.pipeline().config().segmentation,
+                        sample_rate_hz_);
 }
 
 double EdgeRuntime::recorded_seconds() const {

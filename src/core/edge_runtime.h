@@ -1,7 +1,6 @@
 #ifndef MAGNETO_CORE_EDGE_RUNTIME_H_
 #define MAGNETO_CORE_EDGE_RUNTIME_H_
 
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -10,10 +9,11 @@
 #include "common/result.h"
 #include "core/activity_journal.h"
 #include "core/async_updater.h"
+#include "core/drift_monitor.h"
 #include "core/edge_model.h"
 #include "core/incremental_learner.h"
-#include "core/drift_monitor.h"
 #include "core/model_bundle.h"
+#include "core/prediction_stream.h"
 #include "core/smoother.h"
 #include "core/support_set.h"
 #include "sensors/recording.h"
@@ -123,8 +123,10 @@ class EdgeRuntime {
   // -- Output smoothing ----------------------------------------------------------
 
   /// Turns on temporal majority smoothing of the prediction stream.
-  void EnableSmoothing(PredictionSmoother::Options options);
-  void DisableSmoothing();
+  void EnableSmoothing(PredictionSmoother::Options options) {
+    stream_.EnableSmoothing(options);
+  }
+  void DisableSmoothing() { stream_.DisableSmoothing(); }
 
   // -- Drift monitoring ------------------------------------------------------------
 
@@ -133,11 +135,13 @@ class EdgeRuntime {
   /// `CalibrateRejectionThreshold` without headroom) as `baseline_distance`,
   /// or 0 to alarm on confidence only.
   void EnableDriftMonitoring(DriftMonitor::Options options,
-                             double baseline_distance = 0.0);
-  void DisableDriftMonitoring();
+                             double baseline_distance = 0.0) {
+    stream_.EnableDriftMonitoring(options, baseline_distance);
+  }
+  void DisableDriftMonitoring() { stream_.DisableDriftMonitoring(); }
 
   /// True while the armed monitor recommends calibration.
-  bool Drifting() const;
+  bool Drifting() const { return stream_.drifting(); }
 
   // -- Activity journal ---------------------------------------------------------------
 
@@ -145,7 +149,7 @@ class EdgeRuntime {
   void EnableJournal();
 
   /// The ledger, or nullptr if not enabled.
-  const ActivityJournal* journal() const { return journal_.get(); }
+  const ActivityJournal* journal() const { return stream_.journal(); }
 
   // -- Introspection -----------------------------------------------------------
 
@@ -153,17 +157,13 @@ class EdgeRuntime {
   const RuntimeStats& stats() const { return stats_; }
   double recorded_seconds() const;
   const std::optional<NamedPrediction>& last_prediction() const {
-    return last_prediction_;
+    return stream_.last_prediction();
   }
   EdgeModel& model() { return model_; }
   const EdgeModel& model() const { return model_; }
   const SupportSet& support() const { return support_; }
 
  private:
-  /// Pops a full window off the stream buffer as a matrix, advancing by the
-  /// segmentation stride.
-  Matrix TakeWindow();
-
   sensors::Recording FinishCapture();
 
   /// Commit point of a successful update: bumps the update counters and,
@@ -176,17 +176,12 @@ class EdgeRuntime {
   IncrementalLearner learner_;
   double sample_rate_hz_;
   std::unique_ptr<AsyncUpdater> updater_;
-  std::unique_ptr<PredictionSmoother> smoother_;
-  std::unique_ptr<DriftMonitor> drift_monitor_;
-  std::unique_ptr<ActivityJournal> journal_;
+  PredictionStream stream_;
 
   std::string auto_checkpoint_path_;  ///< empty = auto-checkpointing off
 
   RuntimeMode mode_ = RuntimeMode::kInference;
-  std::deque<sensors::Frame> stream_buffer_;
-  size_t pending_skip_ = 0;  ///< frames to drop (stride > window configs)
   std::vector<sensors::Frame> capture_buffer_;
-  std::optional<NamedPrediction> last_prediction_;
   RuntimeStats stats_;
 };
 

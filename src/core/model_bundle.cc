@@ -176,4 +176,16 @@ EdgeModel ModelBundle::ToEdgeModel() && {
                    std::move(classifier), std::move(registry));
 }
 
+ModelBundle ModelBundle::FromEdgeModel(EdgeModel&& model, SupportSet support) {
+  ModelBundle bundle;
+  bundle.wire_version =
+      model.classifier_.quantized() ? kBundleWireV3 : kBundleWireV2;
+  bundle.pipeline = std::move(model.pipeline_);
+  bundle.backbone = std::move(model.backbone_);
+  bundle.classifier = std::move(model.classifier_);
+  bundle.registry = std::move(model.registry_);
+  bundle.support = std::move(support);
+  return bundle;
+}
+
 }  // namespace magneto::core

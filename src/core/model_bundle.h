@@ -79,6 +79,11 @@ struct ModelBundle {
   /// part of `EdgeModel`; move `support` out separately (the edge runtime
   /// owns it next to the model).
   EdgeModel ToEdgeModel() &&;
+
+  /// The inverse of `ToEdgeModel`. An int8 classifier ships on wire v3 and
+  /// an fp32 one on v2, so a quantized device never checkpoints as fp32.
+  /// The rejection threshold is runtime config and is not carried.
+  static ModelBundle FromEdgeModel(EdgeModel&& model, SupportSet support);
 };
 
 }  // namespace magneto::core

@@ -37,26 +37,21 @@ Result<std::string> CloudServer::ServeBundleBytes() const {
 Result<std::string> CloudServer::EncodeQuantizedBundle(
     const std::string& fp32_bytes) {
   // Same flow as the CLI's `compress --method int8`: quantize the backbone,
-  // rebuild the prototypes through the quantized embedding (they must match
-  // what the device will compute), switch the classifier to int8 scans, and
+  // switch the classifier to int8 scans, rebuild the prototypes through the
+  // quantized embedding (they must match what the device will compute), and
   // ship the whole thing on wire v3.
   MAGNETO_ASSIGN_OR_RETURN(core::ModelBundle bundle,
                            core::ModelBundle::FromString(fp32_bytes));
   MAGNETO_ASSIGN_OR_RETURN(bundle.backbone,
                            compress::QuantizeBackbone(bundle.backbone));
+  // Quantized first: the rebuild keeps the classifier's int8 config, so
+  // the rebuilt prototypes are quantized exactly as the device scans them.
+  MAGNETO_RETURN_IF_ERROR(bundle.classifier.QuantizePrototypes());
   core::SupportSet support = std::move(bundle.support);
   core::EdgeModel model = std::move(bundle).ToEdgeModel();
   MAGNETO_RETURN_IF_ERROR(model.RebuildPrototypes(support));
-
-  core::ModelBundle quantized;
-  quantized.wire_version = core::kBundleWireV3;
-  quantized.pipeline = model.pipeline();
-  quantized.classifier = model.classifier();
-  MAGNETO_RETURN_IF_ERROR(quantized.classifier.QuantizePrototypes());
-  quantized.registry = model.registry();
-  quantized.support = std::move(support);
-  quantized.backbone = std::move(model.backbone());
-  return quantized.SerializeToString();
+  return core::ModelBundle::FromEdgeModel(std::move(model), std::move(support))
+      .SerializeToString();
 }
 
 Result<std::string> CloudServer::ServeQuantizedBundleBytes() const {
@@ -84,12 +79,13 @@ Result<core::NamedPrediction> CloudServer::RemoteInfer(
   if (!pretrained()) {
     return Status::FailedPrecondition("server has not pretrained a model");
   }
-  // One scratch workspace per serving thread: the shared model's weights are
-  // read-only, so concurrent requests never synchronize. The workspace
-  // resizes to whatever model it last served, making it safe to share across
-  // CloudServer instances on the same thread.
+  // One forward workspace and classifier scratch per serving thread: the
+  // shared model's weights are read-only, so concurrent requests never
+  // synchronize. Both resize to whatever model they last served, making
+  // them safe to share across CloudServer instances on the same thread.
   thread_local nn::ForwardWorkspace workspace;
-  return model_->InferFeatures(features, &workspace);
+  thread_local core::NcmClassifier::Scratch scratch;
+  return model_->InferFeatures(features, &workspace, &scratch);
 }
 
 }  // namespace magneto::platform

@@ -22,6 +22,7 @@
 #include "core/incremental_learner.h"
 #include "core/model_bundle.h"
 #include "core/ncm_classifier.h"
+#include "core/prediction_stream.h"
 #include "core/smoother.h"
 #include "core/support_set.h"
 #include "sensors/recording.h"
@@ -52,9 +53,6 @@ struct FleetOptions {
   /// Worker threads draining the admission queue into the micro-batcher.
   /// 0 disables the open-loop path (`SubmitWindow` then check-fails).
   size_t serve_threads = 0;
-  double sample_rate_hz = sensors::kDefaultSampleRateHz;
-  /// Open-set rejection threshold applied at classification (0 = off).
-  double rejection_threshold = 0.0;
   /// Approximate prototype index applied to each deployment's classifier
   /// (enable = false keeps exact scans). Promotion builds the new
   /// deployment's index *before* the copy-on-swap pointer flip, so serving
@@ -68,7 +66,8 @@ struct FleetOptions {
   bool enable_drift_monitoring = false;
   core::DriftMonitor::Options drift;
   double drift_baseline_distance = 0.0;
-  /// Per-session activity journals.
+  /// Per-session activity journals (one entry per window stride at
+  /// `sensors::kDefaultSampleRateHz`).
   bool enable_journal = false;
   /// Options for background incremental updates started via BeginLearn.
   core::IncrementalOptions update_options;
@@ -93,7 +92,7 @@ struct FleetSessionStats {
 };
 
 /// Multi-session edge serving: one process hosts N independent user sessions
-/// over a single shared, immutable deployed bundle and the global ThreadPool
+/// over a single shared, immutable deployed model and the global ThreadPool
 /// — the shape the paper's deployment implies once "all inference happens
 /// on-device" meets a simulator (or an edge gateway) that must drive many
 /// users at once.
@@ -102,19 +101,22 @@ struct FleetSessionStats {
 ///
 /// Three kinds of state, three rules:
 ///
-///  1. **Shared immutable deployment** — pipeline, backbone, NCM classifier,
-///     registry, support set. Held as `shared_ptr<const Deployment>` and
-///     never mutated after construction; every reader works off a snapshot
+///  1. **Shared immutable deployment** — a `core::EdgeModel` (pipeline,
+///     backbone, NCM classifier, registry, rejection threshold) plus its
+///     support set. Held as `shared_ptr<const Deployment>` and never
+///     mutated after construction; every reader works off a snapshot
 ///     it pins with its own reference. The backbone included: all
 ///     forward-pass state lives in a caller-owned `nn::ForwardWorkspace`,
 ///     so `Sequential::Forward` is const and any number of threads embed
 ///     through the same weights concurrently, each with its own
 ///     (thread-local) workspace. There is no embedding mutex anywhere in
 ///     the fleet.
-///  2. **Per-session mutable state** — stream buffer, smoother, drift
-///     monitor, journal, stats. Guarded by a per-session mutex; sessions
-///     never touch each other's state, so S sessions classify concurrently
-///     with zero shared-state contention outside the batcher handoff.
+///  2. **Per-session mutable state** — a `core::PredictionStream` (the
+///     same frame -> label stream `EdgeRuntime` owns: window assembly,
+///     smoother, drift monitor, journal) plus stats. Guarded by a
+///     per-session mutex; sessions never touch each other's state, so S
+///     sessions classify concurrently with zero shared-state contention
+///     outside the batcher handoff.
 ///  3. **Copy-on-swap promotion** — `PromoteBundle` (or `PromoteUpdate`,
 ///     which takes an `AsyncUpdater` outcome) builds a complete new
 ///     deployment and swaps the shared pointer. In-flight classifications
@@ -239,22 +241,13 @@ class EdgeFleet {
   core::ModelBundle ToBundle() const;
 
  private:
-  /// The immutable-shared half of the fleet. Genuinely const after
-  /// construction — the backbone's Forward is const (state lives in the
-  /// caller's workspace), so no mutex or `mutable` is needed anywhere.
+  /// The immutable-shared half of the fleet: the same artifact a single
+  /// device runs. Genuinely const after construction — serving reads the
+  /// model only through const paths (the backbone's Forward keeps its state
+  /// in the caller's workspace), so no mutex or `mutable` is needed.
   struct Deployment {
-    Deployment(core::ModelBundle bundle, uint64_t version,
-               const core::AnnOptions& ann);
-
-    /// Deep copy for background-update snapshots.
-    core::EdgeModel SnapshotModel() const;
-
-    preprocess::Pipeline pipeline;
-    nn::Sequential backbone;
-    core::NcmClassifier classifier;
-    sensors::ActivityRegistry registry;
-    core::SupportSet support{200, core::SelectionStrategy::kHerding};
-    size_t input_dim = 0;  ///< backbone input width, for batch validation
+    core::EdgeModel model;
+    core::SupportSet support;
     uint64_t version = 0;
   };
 
@@ -287,27 +280,24 @@ class EdgeFleet {
 
   struct Session {
     mutable std::mutex mu;
-    std::deque<sensors::Frame> stream;
-    size_t pending_skip = 0;
-    std::unique_ptr<core::PredictionSmoother> smoother;
-    std::unique_ptr<core::DriftMonitor> drift;
-    std::unique_ptr<core::ActivityJournal> journal;
+    core::PredictionStream stream;
     FleetSessionStats stats;
-    std::optional<core::NamedPrediction> last;
     uint64_t deployment_version = 0;  ///< last version this session saw
   };
 
-  EdgeFleet(core::ModelBundle bundle, size_t num_sessions,
-            FleetOptions options);
+  EdgeFleet(core::EdgeModel model, core::SupportSet support,
+            size_t num_sessions, FleetOptions options);
+
+  /// Builds a deployment, ANN index included, before anyone can see it.
+  std::shared_ptr<const Deployment> MakeDeployment(core::EdgeModel model,
+                                                   core::SupportSet support,
+                                                   uint64_t version) const;
+
+  /// Copy-on-swap: builds the next deployment, then flips the pointer.
+  Status Promote(core::EdgeModel model, core::SupportSet support);
 
   std::shared_ptr<const Deployment> CurrentDeployment() const;
-  void InstallDeployment(std::shared_ptr<const Deployment> deployment);
-
-  /// Enqueues `features` (pinned to `deployment`) and blocks until a
-  /// micro-batch (possibly led by this thread) classifies it.
-  Result<core::Prediction> ClassifyBatched(
-      std::shared_ptr<const Deployment> deployment,
-      const std::vector<float>& features);
+  const Session& SessionAt(size_t session) const;
 
   /// Pushes `requests` into the micro-batcher and blocks until every one is
   /// classified, leading batches whenever a leader slot is free. The shared

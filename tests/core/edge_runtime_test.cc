@@ -1,6 +1,7 @@
 #include "core/edge_runtime.h"
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <vector>
 
@@ -355,6 +356,96 @@ TEST(EdgeRuntimeCheckpointTest, AutoCheckpointPersistsCommittedUpdate) {
   auto previous = ModelBundle::LoadFromFile(lkg);
   ASSERT_TRUE(previous.ok()) << previous.status();
   EXPECT_EQ(previous.value().registry.size(), 5u);
+  std::remove(path.c_str());
+  std::remove(lkg.c_str());
+}
+
+/// Boots a runtime from a wire-v3 (int8) bundle serving through the ANN
+/// index — the recipe of `DeployInt8WithAnn` in incremental_learner_test.cc.
+AnnOptions SmallAnn() {
+  AnnOptions ann;
+  ann.min_index_size = 1;
+  ann.nlist = 2;
+  ann.nprobe = 1;
+  return ann;
+}
+
+EdgeRuntime MakeInt8Runtime(uint64_t seed) {
+  ModelBundle cloud = testing::SmallPretrainedBundle(seed);
+  cloud.wire_version = kBundleWireV3;
+  MAGNETO_CHECK(cloud.classifier.QuantizePrototypes().ok());
+  ModelBundle bundle =
+      ModelBundle::FromString(cloud.SerializeToString()).value();
+  MAGNETO_CHECK(bundle.classifier.quantized());
+  SupportSet support = std::move(bundle.support);
+  EdgeRuntime runtime(std::move(bundle).ToEdgeModel(), std::move(support),
+                      FastUpdateOptions());
+  MAGNETO_CHECK(runtime.model().EnableAnn(SmallAnn()).ok());
+  return runtime;
+}
+
+/// Predictions of `model` over a fixed set of windows (three base
+/// activities plus the learned gesture).
+std::vector<NamedPrediction> FixedWindowPredictions(EdgeModel* model) {
+  sensors::SyntheticGenerator gen(77);
+  const sensors::ActivityLibrary lib = sensors::DefaultActivityLibrary();
+  std::vector<NamedPrediction> out;
+  for (const sensors::Recording& rec :
+       {gen.Generate(lib.at(sensors::kWalk), 3.0),
+        gen.Generate(lib.at(sensors::kStill), 3.0),
+        gen.Generate(lib.at(sensors::kRun), 3.0),
+        gen.Generate(sensors::MakeGestureModel(62), 3.0)}) {
+    auto preds = model->InferRecording(rec);
+    EXPECT_TRUE(preds.ok()) << preds.status();
+    if (!preds.ok()) continue;
+    out.insert(out.end(), preds.value().begin(), preds.value().end());
+  }
+  return out;
+}
+
+TEST(EdgeRuntimeCheckpointTest, Int8CheckpointStaysWireV3) {
+  // A device booted from an int8 bundle must checkpoint as int8: a wire-v2
+  // checkpoint would reload as an fp32 classifier and scan differently.
+  const std::string path = std::filesystem::temp_directory_path() /
+                           "magneto_runtime_int8.magneto";
+  const std::string lkg = EdgeRuntime::LastKnownGoodPath(path);
+  std::remove(path.c_str());
+  std::remove(lkg.c_str());
+
+  EdgeRuntime runtime = MakeInt8Runtime(432);
+  runtime.EnableAutoCheckpoint(path);
+  ASSERT_TRUE(runtime.StartRecording().ok());
+  sensors::SyntheticGenerator gen(14);
+  Stream(&runtime, gen.Generate(sensors::MakeGestureModel(62), 25.0));
+  auto report = runtime.FinishRecordingAndLearn("Gesture Hi");
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_TRUE(runtime.model().classifier().quantized());
+
+  auto saved = ModelBundle::LoadFromFile(path);
+  ASSERT_TRUE(saved.ok()) << saved.status();
+  EXPECT_EQ(saved.value().wire_version, kBundleWireV3);
+
+  auto restored = EdgeRuntime::FromCheckpoint(path, FastUpdateOptions());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EdgeModel& reloaded = restored.value().model();
+  EXPECT_TRUE(reloaded.classifier().quantized());
+  EXPECT_TRUE(reloaded.registry().IdOf("Gesture Hi").ok());
+  // The ANN index is serving config, never serialized: re-arm it the way
+  // the device does after boot.
+  ASSERT_TRUE(reloaded.EnableAnn(SmallAnn()).ok());
+
+  const std::vector<NamedPrediction> before =
+      FixedWindowPredictions(&runtime.model());
+  const std::vector<NamedPrediction> after = FixedWindowPredictions(&reloaded);
+  ASSERT_EQ(before.size(), after.size());
+  ASSERT_GE(before.size(), 12u);
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(before[i].name, after[i].name) << "window " << i;
+    EXPECT_EQ(std::memcmp(&before[i].prediction, &after[i].prediction,
+                          sizeof(Prediction)),
+              0)
+        << "window " << i;
+  }
   std::remove(path.c_str());
   std::remove(lkg.c_str());
 }

@@ -411,6 +411,39 @@ TEST(EdgeFleetDeathTest, SubmitWindowWithoutWorkersAborts) {
                "serve_threads");
 }
 
+TEST(EdgeFleetDeathTest, OutOfRangeSessionAborts) {
+  // PushFrame and SubmitWindow refuse an unknown session with a status; the
+  // introspection accessors have no status to return, so they check-fail
+  // instead of indexing past the session table.
+  auto fleet =
+      EdgeFleet::Create(testing::SmallPretrainedBundle(812), 2).value();
+  EXPECT_DEATH(fleet->session_stats(2), "session < sessions_.size");
+  EXPECT_DEATH(fleet->last_prediction(5), "session < sessions_.size");
+  EXPECT_DEATH(fleet->journal(2), "session < sessions_.size");
+  EXPECT_DEATH(fleet->Drifting(99), "session < sessions_.size");
+}
+
+TEST(EdgeFleetTest, Int8DeploymentExportsWireV3) {
+  // A fleet serving an int8 (wire-v3) bundle must export one: a wire-v2
+  // export would reload with an fp32 classifier.
+  core::ModelBundle cloud = testing::SmallPretrainedBundle(813);
+  cloud.wire_version = core::kBundleWireV3;
+  ASSERT_TRUE(cloud.classifier.QuantizePrototypes().ok());
+  const std::string bytes = cloud.SerializeToString();
+  auto fleet =
+      EdgeFleet::Create(core::ModelBundle::FromString(bytes).value(), 1)
+          .value();
+
+  const std::string exported = fleet->ToBundle().SerializeToString();
+  auto reloaded = core::ModelBundle::FromString(exported);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+  EXPECT_EQ(reloaded.value().wire_version, core::kBundleWireV3);
+  EXPECT_TRUE(reloaded.value().classifier.quantized());
+  // Nothing was lost or re-rounded on the way through the fleet.
+  EXPECT_EQ(exported.size(), bytes.size());
+  EXPECT_TRUE(exported == bytes);
+}
+
 TEST(EdgeFleetTest, OpenLoopServesSubmittedWindows) {
   core::ModelBundle bundle = testing::SmallPretrainedBundle(813);
   auto windows = FeaturizedWindows(bundle, sensors::kWalk, 6, 60);

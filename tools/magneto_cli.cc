@@ -467,13 +467,9 @@ int CmdCalibrate(const Args& args) {
   std::printf("update committed: %zu fresh windows folded in\n",
               report.value().new_windows);
 
-  core::ModelBundle updated;
-  updated.pipeline = model.pipeline();
-  updated.classifier = model.classifier();
-  updated.registry = model.registry();
-  updated.support = std::move(support);
-  updated.backbone = std::move(model.backbone());
-  Status saved = updated.SaveToFile(out);
+  Status saved =
+      core::ModelBundle::FromEdgeModel(std::move(model), std::move(support))
+          .SaveToFile(out);
   if (!saved.ok()) return Fail(saved, "save");
   std::printf("wrote %s\n", out.c_str());
   return 0;
@@ -504,6 +500,13 @@ int CmdCompress(const Args& args) {
   }
   if (!compressed.ok()) return Fail(compressed.status(), "compress");
   bundle.value().backbone = std::move(compressed).value();
+  if (method == "int8") {
+    // Full quantized edge path: int8 backbone, int8 prototype scans, and
+    // the wire-v3 quantized bundle encoding for the download itself. The
+    // rebuild below keeps the classifier's int8 config.
+    Status quantized = bundle.value().classifier.QuantizePrototypes();
+    if (!quantized.ok()) return Fail(quantized, "quantize prototypes");
+  }
 
   // Prototypes must be rebuilt through the compressed embedding.
   core::SupportSet support = std::move(bundle.value().support);
@@ -511,19 +514,8 @@ int CmdCompress(const Args& args) {
   Status rebuilt = model.RebuildPrototypes(support);
   if (!rebuilt.ok()) return Fail(rebuilt, "rebuild prototypes");
 
-  core::ModelBundle updated;
-  updated.pipeline = model.pipeline();
-  updated.classifier = model.classifier();
-  updated.registry = model.registry();
-  updated.support = std::move(support);
-  updated.backbone = std::move(model.backbone());
-  if (method == "int8") {
-    // Full quantized edge path: int8 backbone, int8 prototype scans, and
-    // the wire-v3 quantized bundle encoding for the download itself.
-    updated.wire_version = core::kBundleWireV3;
-    Status quantized = updated.classifier.QuantizePrototypes();
-    if (!quantized.ok()) return Fail(quantized, "quantize prototypes");
-  }
+  const core::ModelBundle updated =
+      core::ModelBundle::FromEdgeModel(std::move(model), std::move(support));
   Status saved = updated.SaveToFile(out);
   if (!saved.ok()) return Fail(saved, "save");
   std::printf("%s: %.1f KiB -> %.1f KiB (%s, wire v%u)%s\n", out.c_str(),
@@ -574,14 +566,9 @@ int CmdFleet(const Args& args) {
       sensors::SyntheticGenerator gen(200 + s);
       sensors::Recording rec =
           gen.Generate(user.Personalize(lib[cycle[s % 3]]), seconds);
-      for (size_t start = 0; start + seg.window_samples <= rec.num_samples();
-           start += seg.stride) {
-        Matrix window(seg.window_samples, sensors::kNumChannels);
-        for (size_t r = 0; r < seg.window_samples; ++r) {
-          for (size_t c = 0; c < sensors::kNumChannels; ++c) {
-            window.At(r, c) = rec.samples.At(start + r, c);
-          }
-        }
+      auto windows = preprocess::Segment(rec, seg);
+      if (!windows.ok()) return Fail(windows.status(), "segment");
+      for (const Matrix& window : windows.value()) {
         auto fv = bundle.value().pipeline.ProcessWindow(window);
         if (!fv.ok()) return Fail(fv.status(), "featurize");
         features[s].push_back(std::move(fv).value());
