@@ -54,11 +54,12 @@ void Run() {
     options.train.distill_weight = 1.0;
     options.train.seed = 19;
     core::IncrementalLearner learner(options);
-    CheckOk(learner
-                .Calibrate(&model, &support, sensors::kWalk,
-                           {phone.Generate(personal[sensors::kWalk], 25.0)})
-                .status(),
-            "calibrate");
+    core::UpdateOutcome calibrated = Unwrap(
+        learner.Calibrate(model, support, sensors::kWalk,
+                          {phone.Generate(personal[sensors::kWalk], 25.0)}),
+        "calibrate");
+    model = std::move(calibrated.model);
+    support = std::move(calibrated.support);
 
     const double after = RecognitionRate(
         &model, phone.Generate(personal[sensors::kWalk], 12.0), sensors::kWalk);

@@ -76,10 +76,12 @@ UpdateOutcome RunUpdate(const BenchSetup& setup, bool rehearse, double lambda,
 
   sensors::ActivityId last_id = -1;
   for (size_t i = 0; i < captures.size(); ++i) {
-    auto report = Unwrap(learner.LearnNewActivity(&model, &support, names[i],
-                                                  {captures[i]}),
-                         "update");
-    last_id = report.activity;
+    core::UpdateOutcome outcome = Unwrap(
+        learner.LearnNewActivity(model, support, names[i], {captures[i]}),
+        "update");
+    model = std::move(outcome.model);
+    support = std::move(outcome.support);
+    last_id = outcome.report.activity;
   }
 
   learn::ConfusionMatrix after;

@@ -124,10 +124,11 @@ void Run() {
     options.train.distill_weight = 1.0;
     options.train.seed = 23;
     core::IncrementalLearner learner(options);
-    auto report = Unwrap(
-        learner.LearnNewActivity(&row_model, &support, "Gesture Hi",
-                                 {capture}),
+    core::UpdateOutcome outcome = Unwrap(
+        learner.LearnNewActivity(row_model, support, "Gesture Hi", {capture}),
         "update");
+    row_model = std::move(outcome.model);
+    const core::UpdateReport& report = outcome.report;
 
     learn::ConfusionMatrix after;
     for (const auto& [truth, pred] :

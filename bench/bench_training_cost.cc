@@ -47,9 +47,9 @@ void RunUpdate(benchmark::State& state, UpdateFixture& fixture,
     core::IncrementalLearner learner(options);
     state.ResumeTiming();
 
-    auto report = learner.LearnNewActivity(&model, &support, "Gesture Hi",
-                                           {fixture.capture});
-    benchmark::DoNotOptimize(report);
+    auto outcome = learner.LearnNewActivity(model, support, "Gesture Hi",
+                                            {fixture.capture});
+    benchmark::DoNotOptimize(outcome);
   }
 }
 

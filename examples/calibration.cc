@@ -62,12 +62,13 @@ int main() {
   options.train.distill_weight = 1.0;
   options.train.seed = 61;
   core::IncrementalLearner learner(options);
-  auto report = learner.Calibrate(
-      &model, &support, sensors::kWalk,
+  auto outcome = learner.Calibrate(
+      model, support, sensors::kWalk,
       {phone.Generate(personal[sensors::kWalk], 25.0)});
-  examples::CheckOk(report.status(), "calibration");
+  examples::CheckOk(outcome.status(), "calibration");
   std::printf("retrained on %zu fresh windows; Walk's support data replaced\n",
-              report.value().new_windows);
+              outcome->report.new_windows);
+  model = std::move(outcome->model);
 
   std::printf("\n== After calibration ==\n");
   sensors::Recording fresh_walk =

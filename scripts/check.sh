@@ -25,10 +25,12 @@ MAGNETO_THREADS=8 MAGNETO_TRACE=1 ./build-tsan/tests/obs_test
 # const Sequential, each with its own workspace, no locks anywhere.
 MAGNETO_THREADS=8 ./build-tsan/tests/nn_test \
   --gtest_filter='WorkspaceConcurrencyTest.*'
-# The concurrent serving path: AsyncUpdater worker-handle lock order,
+# The concurrent serving path: a runtime's background update staging its
+# copy of the live model while PushFrame keeps classifying on it,
 # scratch-free KNN classify, and the EdgeFleet stress tests (closed-loop
 # sessions + open-loop SubmitWindow producers, both with a bundle promotion
-# landing mid-run).
+# landing mid-run, and BeginLearn/UpdatePending/UpdateReady/PromoteUpdate
+# racing from four threads while sessions serve).
 # The ANN legs: concurrent searches through one shared immutable index with
 # per-thread scratch, concurrent indexed scans of one shared EmbeddingStore
 # (the row store behind both classifiers), concurrent ANN-routed NCM
@@ -37,7 +39,7 @@ MAGNETO_THREADS=8 ./build-tsan/tests/nn_test \
 # serving concurrent sessions across a mid-run promotion swap, with every
 # session's PredictionStream reset under its session mutex.
 MAGNETO_THREADS=8 ./build-tsan/tests/core_test \
-  --gtest_filter='AsyncUpdaterStressTest.*:KnnClassifierTest.Concurrent*:AnnIndexTest.Concurrent*:AnnIndexTest.DeterministicAcrossThreadCounts:EmbeddingStoreTest.Concurrent*:NcmClassifierTest.ConcurrentAnn*'
+  --gtest_filter='EdgeRuntimeAsyncTest.*:KnnClassifierTest.Concurrent*:AnnIndexTest.Concurrent*:AnnIndexTest.DeterministicAcrossThreadCounts:EmbeddingStoreTest.Concurrent*:NcmClassifierTest.ConcurrentAnn*'
 MAGNETO_THREADS=8 ./build-tsan/tests/platform_test \
   --gtest_filter='EdgeFleet*'
 # The cloud control plane under TSan: the CloudServer once_flag quantize
@@ -55,8 +57,10 @@ cmake --build build-asan --target common_test core_test platform_test \
   nn_test integration_test
 ./build-asan/tests/common_test \
   --gtest_filter='Crc32*:BinarySerial*:*FileIo*:QGemm*'
-# UpdateTransaction* stages/commits/rolls back full model snapshots — the
-# exact place a dangling pointer into swapped-out state would hide.
+# IncrementalLearnerTest.* and EdgeRuntimeUpdateTest.* stage full model
+# copies, move committed outcomes into the live runtime and drop rolled-back
+# ones — the exact place a dangling pointer into swapped-out state would
+# hide.
 # The quantized legs cover the int8 deserializers: the wire-v3 bundle
 # truncation/bit-flip tests, the SupportSet int8 row reader, and the
 # kQuantizedLinearTag payload fuzz — the validate-before-allocate fix in
@@ -69,7 +73,7 @@ cmake --build build-asan --target common_test core_test platform_test \
 # PredictionStreamTest.* drives the shared frame -> window deque (overlapping
 # and gapped strides, resets mid-window), and the int8 checkpoint test takes
 # a wire-v3 runtime through learn -> auto-checkpoint -> reload.
-./build-asan/tests/core_test --gtest_filter='ModelBundle*:NcmClassifierTest.Deserialize*:UpdateTransaction*:SupportSetTest.*Quantized*:ClassifierGoldenTest.*:EmbeddingStoreTest.*:PredictionStreamTest.*:EdgeRuntimeCheckpointTest.Int8CheckpointStaysWireV3'
+./build-asan/tests/core_test --gtest_filter='ModelBundle*:NcmClassifierTest.Deserialize*:IncrementalLearnerTest.*:EdgeRuntimeUpdateTest.*:SupportSetTest.*Quantized*:ClassifierGoldenTest.*:EmbeddingStoreTest.*:PredictionStreamTest.*:EdgeRuntimeCheckpointTest.Int8CheckpointStaysWireV3'
 ./build-asan/tests/nn_test --gtest_filter='QuantizedLinear*:QuantizedMatrix*'
 ./build-asan/tests/integration_test \
   --gtest_filter='*QuantizedLinearPayloadFuzz*'
@@ -217,6 +221,19 @@ cmp "$smoke_dir/m.magneto" "$smoke_dir/updated.magneto.lkg" \
   || { echo "learn smoke: .lkg must hold the pre-update bundle" >&2; exit 1; }
 ./build/tools/magneto inspect "$smoke_dir/updated.magneto" | grep -q 'Gesture Hi' \
   || { echo "learn smoke: committed bundle lacks the new activity" >&2; exit 1; }
+# An int8-compressed backbone is inference-only: `learn` must refuse it with
+# an error exit (1, not a signal) and leave the loadable pre-update
+# checkpoint at --out.
+learn_q_status=0
+./build/tools/magneto learn --bundle "$smoke_dir/q.magneto" \
+  --out "$smoke_dir/q_learn.magneto" > "$smoke_dir/q_learn.txt" 2>&1 \
+  || learn_q_status=$?
+[ "$learn_q_status" -eq 1 ] \
+  || { echo "int8 learn smoke: expected exit 1, got $learn_q_status" >&2; exit 1; }
+cmp "$smoke_dir/q.magneto" "$smoke_dir/q_learn.magneto" \
+  || { echo "int8 learn smoke: --out is not the pre-update bundle" >&2; exit 1; }
+./build/tools/magneto inspect "$smoke_dir/q_learn.magneto" | grep -q 'wire v3' \
+  || { echo "int8 learn smoke: --out does not load as the int8 bundle" >&2; exit 1; }
 
 for b in build/bench/bench_*; do
   echo "== $b =="

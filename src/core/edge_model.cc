@@ -118,13 +118,6 @@ EdgeModel::Snapshot EdgeModel::TakeSnapshot() const {
   return snapshot;
 }
 
-void EdgeModel::Restore(Snapshot&& snapshot) {
-  backbone_ = std::move(snapshot.backbone);
-  classifier_ = std::move(snapshot.classifier);
-  registry_ = std::move(snapshot.registry);
-  rejection_threshold_ = snapshot.rejection_threshold;
-}
-
 size_t EdgeModel::BackboneBytes() const {
   return backbone_.NumParameters() * sizeof(float);
 }

@@ -37,8 +37,8 @@ class EdgeModel : public Embedder {
   EdgeModel(EdgeModel&&) noexcept = default;
   EdgeModel& operator=(EdgeModel&&) noexcept = default;
 
-  /// Deep copy (backbone weights included). Used to snapshot the model for
-  /// background updates while the original keeps serving inference.
+  /// Deep copy (backbone weights included). The incremental learner stages
+  /// every update on one while the original keeps serving inference.
   EdgeModel Clone() const {
     EdgeModel copy(pipeline_, backbone_.Clone(), classifier_, registry_);
     copy.rejection_threshold_ = rejection_threshold_;
@@ -109,20 +109,18 @@ class EdgeModel : public Embedder {
 
   /// Turns the classifier's approximate prototype index on for this model
   /// (runtime serving config, never serialized). The setting survives
-  /// `RebuildPrototypes` and transactional updates — both go through
+  /// `RebuildPrototypes` and so every incremental update: it goes through
   /// `NcmClassifier::Rebuild`, which re-trains the index on the fresh
-  /// prototypes before the swap.
+  /// prototypes.
   Status EnableAnn(AnnOptions options) {
     return classifier_.EnableAnn(options);
   }
   void DisableAnn() { classifier_.DisableAnn(); }
 
-  // -- Transactional weight state -----------------------------------------------
+  // -- Mutable knowledge -------------------------------------------------------
 
   /// The mutable knowledge of the model — everything an incremental update
-  /// may change. An `UpdateTransaction` stages its work on a snapshot and
-  /// installs it with a single `Restore` only once every step succeeded, so
-  /// a failed update can never leave the live model half-mutated.
+  /// may change (the pipeline is frozen).
   struct Snapshot {
     nn::Sequential backbone;
     NcmClassifier classifier;
@@ -132,9 +130,6 @@ class EdgeModel : public Embedder {
 
   /// Deep copy of the mutable state (backbone weights included).
   Snapshot TakeSnapshot() const;
-
-  /// Installs a snapshot with a single swap (no partial visibility).
-  void Restore(Snapshot&& snapshot);
 
   // -- Accessors ---------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 #include "core/edge_runtime.h"
 
+#include <chrono>
 #include <filesystem>
 
 #include "common/logging.h"
@@ -33,9 +34,8 @@ EdgeMetrics& Metrics() {
 
 EdgeRuntime::EdgeRuntime(EdgeModel model, SupportSet support,
                          IncrementalOptions options, double sample_rate_hz)
-    : model_(std::move(model)),
-      support_(std::move(support)),
-      update_options_(options),
+    : live_(std::make_shared<Live>(
+          Live{std::move(model), std::move(support)})),
       learner_(options),
       sample_rate_hz_(sample_rate_hz) {}
 
@@ -48,13 +48,13 @@ Result<std::optional<NamedPrediction>> EdgeRuntime::PushFrame(
     return std::optional<NamedPrediction>{};
   }
   std::optional<Matrix> window =
-      stream_.Push(frame, model_.pipeline().config().segmentation);
+      stream_.Push(frame, model().pipeline().config().segmentation);
   if (!window.has_value()) return std::optional<NamedPrediction>{};
   ++stats_.windows;
   Metrics().windows->Increment();
   obs::TraceSpan span("EdgeRuntime::Classify");
   obs::ScopedTimer classify_timer(Metrics().classify_us);
-  MAGNETO_ASSIGN_OR_RETURN(NamedPrediction pred, model_.InferWindow(*window));
+  MAGNETO_ASSIGN_OR_RETURN(NamedPrediction pred, model().InferWindow(*window));
   ++stats_.predictions;
   Metrics().predictions->Increment();
   if (pred.prediction.is_unknown()) Metrics().rejections->Increment();
@@ -96,12 +96,14 @@ Result<UpdateReport> EdgeRuntime::FinishRecordingAndLearn(
   if (mode_ != RuntimeMode::kRecording) {
     return Status::FailedPrecondition("not recording");
   }
+  if (UpdatePending()) {
+    return Status::FailedPrecondition("a background update is pending");
+  }
   sensors::Recording rec = FinishCapture();
   MAGNETO_ASSIGN_OR_RETURN(
-      UpdateReport report,
-      learner_.LearnNewActivity(&model_, &support_, name, {rec}));
-  OnUpdateCommitted();
-  return report;
+      UpdateOutcome outcome,
+      learner_.LearnNewActivity(live_->model, live_->support, name, {rec}));
+  return Install(std::move(outcome));
 }
 
 Result<UpdateReport> EdgeRuntime::FinishRecordingAndCalibrate(
@@ -109,34 +111,40 @@ Result<UpdateReport> EdgeRuntime::FinishRecordingAndCalibrate(
   if (mode_ != RuntimeMode::kRecording) {
     return Status::FailedPrecondition("not recording");
   }
+  if (UpdatePending()) {
+    return Status::FailedPrecondition("a background update is pending");
+  }
   MAGNETO_ASSIGN_OR_RETURN(sensors::ActivityId id,
-                           model_.registry().IdOf(name));
+                           model().registry().IdOf(name));
   sensors::Recording rec = FinishCapture();
   MAGNETO_ASSIGN_OR_RETURN(
-      UpdateReport report, learner_.Calibrate(&model_, &support_, id, {rec}));
-  OnUpdateCommitted();
-  return report;
+      UpdateOutcome outcome,
+      learner_.Calibrate(live_->model, live_->support, id, {rec}));
+  return Install(std::move(outcome));
 }
 
-void EdgeRuntime::OnUpdateCommitted() {
+UpdateReport EdgeRuntime::Install(UpdateOutcome outcome) {
+  // Atomic from the caller's perspective: between PushFrame calls.
+  live_ = std::make_shared<Live>(
+      Live{std::move(outcome.model), std::move(outcome.support)});
+  stream_.Reset();
   ++stats_.updates;
   Metrics().updates->Increment();
-  if (auto_checkpoint_path_.empty()) return;
-  // The learner only returns success once the staged state is fully
-  // committed, so what is persisted here is exactly the post-update model.
-  // A rolled-back update never reaches this point and the previous
-  // checkpoint (the pre-update model) stays authoritative on disk.
-  Status saved = SaveCheckpoint(auto_checkpoint_path_);
-  if (!saved.ok()) {
-    MAGNETO_LOG(Warning) << "auto-checkpoint failed: " << saved.ToString();
+  if (!auto_checkpoint_path_.empty()) {
+    // Only a committed outcome reaches this point, so what is persisted is
+    // exactly the post-update model; after a failed update the previous
+    // checkpoint (the pre-update model) stays authoritative on disk.
+    Status saved = SaveCheckpoint(auto_checkpoint_path_);
+    if (!saved.ok()) {
+      MAGNETO_LOG(Warning) << "auto-checkpoint failed: " << saved.ToString();
+    }
   }
+  return std::move(outcome.report);
 }
 
 void EdgeRuntime::EnableAutoCheckpoint(std::string path) {
   auto_checkpoint_path_ = std::move(path);
 }
-
-void EdgeRuntime::DisableAutoCheckpoint() { auto_checkpoint_path_.clear(); }
 
 void EdgeRuntime::CancelRecording() {
   capture_buffer_.clear();
@@ -150,52 +158,36 @@ Status EdgeRuntime::FinishRecordingAndLearnAsync(const std::string& name) {
   if (UpdatePending()) {
     return Status::FailedPrecondition("an update is already in flight");
   }
-  sensors::Recording rec = FinishCapture();
-  if (updater_ == nullptr) {
-    updater_ = std::make_unique<AsyncUpdater>(update_options_);
-  }
-  return updater_->StartLearn(model_, support_, name, {std::move(rec)});
+  std::vector<sensors::Recording> recordings{FinishCapture()};
+  // The learner stages its own copy of the live model on the worker;
+  // foreground inference keeps reading it meanwhile (const reads only).
+  update_ = std::async(
+      std::launch::async,
+      [learner = learner_, base = std::shared_ptr<const Live>(live_), name,
+       recordings = std::move(recordings)] {
+        return learner.LearnNewActivity(base->model, base->support, name,
+                                        recordings);
+      });
+  return Status::Ok();
 }
 
-Status EdgeRuntime::FinishRecordingAndCalibrateAsync(const std::string& name) {
-  if (mode_ != RuntimeMode::kRecording) {
-    return Status::FailedPrecondition("not recording");
-  }
-  if (UpdatePending()) {
-    return Status::FailedPrecondition("an update is already in flight");
-  }
-  MAGNETO_ASSIGN_OR_RETURN(sensors::ActivityId id,
-                           model_.registry().IdOf(name));
-  sensors::Recording rec = FinishCapture();
-  if (updater_ == nullptr) {
-    updater_ = std::make_unique<AsyncUpdater>(update_options_);
-  }
-  return updater_->StartCalibrate(model_, support_, id, {std::move(rec)});
-}
-
-bool EdgeRuntime::UpdatePending() const {
-  return updater_ != nullptr && updater_->busy();
-}
+bool EdgeRuntime::UpdatePending() const { return update_.valid(); }
 
 bool EdgeRuntime::UpdateReady() const {
-  return updater_ != nullptr && updater_->ready();
+  return update_.valid() && update_.wait_for(std::chrono::seconds(0)) ==
+                                std::future_status::ready;
 }
 
 Result<UpdateReport> EdgeRuntime::CommitUpdate() {
-  if (updater_ == nullptr) {
+  if (!update_.valid()) {
     return Status::FailedPrecondition("no update was started");
   }
-  MAGNETO_ASSIGN_OR_RETURN(AsyncUpdater::Outcome outcome, updater_->Take());
-  // Atomic from the caller's perspective: between PushFrame calls.
-  model_ = std::move(outcome.model);
-  support_ = std::move(outcome.support);
-  stream_.Reset();
-  OnUpdateCommitted();
-  return std::move(outcome.report);
+  MAGNETO_ASSIGN_OR_RETURN(UpdateOutcome outcome, update_.get());
+  return Install(std::move(outcome));
 }
 
 ModelBundle EdgeRuntime::ToBundle() const {
-  return ModelBundle::FromEdgeModel(model_.Clone(), support_);
+  return ModelBundle::FromEdgeModel(model().Clone(), support());
 }
 
 std::string EdgeRuntime::LastKnownGoodPath(const std::string& path) {
@@ -241,7 +233,7 @@ Result<EdgeRuntime> EdgeRuntime::FromCheckpoint(const std::string& path,
 }
 
 void EdgeRuntime::EnableJournal() {
-  stream_.EnableJournal(model_.pipeline().config().segmentation,
+  stream_.EnableJournal(model().pipeline().config().segmentation,
                         sample_rate_hz_);
 }
 

@@ -1,6 +1,7 @@
 #ifndef MAGNETO_CORE_EDGE_RUNTIME_H_
 #define MAGNETO_CORE_EDGE_RUNTIME_H_
 
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -8,7 +9,6 @@
 
 #include "common/result.h"
 #include "core/activity_journal.h"
-#include "core/async_updater.h"
 #include "core/drift_monitor.h"
 #include "core/edge_model.h"
 #include "core/incremental_learner.h"
@@ -44,6 +44,13 @@ struct RuntimeStats {
 /// buffers frames for a new-activity capture — panel (c); finishing the
 /// recording triggers the on-device incremental update — panel (d); the
 /// runtime then resumes inference with the enriched model — panel (e).
+///
+/// Every update — blocking or background — produces an `UpdateOutcome`
+/// from the learner and installs it through one private commit point (move
+/// the model and support set in, reset the stream, count the update,
+/// auto-checkpoint). A background update shares ownership of the live model
+/// and reads it as its frozen base, so while `UpdatePending()` that model
+/// must only be read (inference, `PushFrame`).
 class EdgeRuntime {
  public:
   /// Takes ownership of the deployed model and support set (both came out of
@@ -62,9 +69,13 @@ class EdgeRuntime {
   Status StartRecording();
 
   /// Ends the capture and learns it as the new activity `name` (§3.3).
+  /// Fails with kFailedPrecondition (still recording) while a background
+  /// update is pending: its outcome was learned from the current model, so
+  /// committing it later would silently drop this update.
   Result<UpdateReport> FinishRecordingAndLearn(const std::string& name);
 
-  /// Ends the capture and re-calibrates the existing activity `name`.
+  /// Ends the capture and re-calibrates the existing activity `name`. Same
+  /// precondition as `FinishRecordingAndLearn`.
   Result<UpdateReport> FinishRecordingAndCalibrate(const std::string& name);
 
   /// Discards the capture and returns to inference.
@@ -76,9 +87,6 @@ class EdgeRuntime {
   /// immediately on the *current* model; call `CommitUpdate` once
   /// `UpdateReady()` to swap in the retrained one.
   Status FinishRecordingAndLearnAsync(const std::string& name);
-
-  /// Same, but re-calibrating the existing activity `name`.
-  Status FinishRecordingAndCalibrateAsync(const std::string& name);
 
   /// True while a background update is in flight or awaiting commit.
   bool UpdatePending() const;
@@ -118,7 +126,6 @@ class EdgeRuntime {
   /// on-disk checkpoint always holds the last committed model and a crash
   /// mid-update recovers to the pre-update state via the `.lkg` path.
   void EnableAutoCheckpoint(std::string path);
-  void DisableAutoCheckpoint();
 
   // -- Output smoothing ----------------------------------------------------------
 
@@ -159,24 +166,32 @@ class EdgeRuntime {
   const std::optional<NamedPrediction>& last_prediction() const {
     return stream_.last_prediction();
   }
-  EdgeModel& model() { return model_; }
-  const EdgeModel& model() const { return model_; }
-  const SupportSet& support() const { return support_; }
+  EdgeModel& model() { return live_->model; }
+  const EdgeModel& model() const { return live_->model; }
+  const SupportSet& support() const { return live_->support; }
 
  private:
   sensors::Recording FinishCapture();
 
-  /// Commit point of a successful update: bumps the update counters and,
-  /// when auto-checkpointing is armed, persists the committed state.
-  void OnUpdateCommitted();
+  /// The commit point of every update: installs the outcome, resets the
+  /// stream context, bumps the update counters and, when auto-checkpointing
+  /// is armed, persists the committed state.
+  UpdateReport Install(UpdateOutcome outcome);
 
-  EdgeModel model_;
-  SupportSet support_;
-  IncrementalOptions update_options_;
+  /// The deployed model and its support set. A background update holds a
+  /// reference too, so it keeps reading valid state however the runtime is
+  /// moved or destroyed meanwhile.
+  struct Live {
+    EdgeModel model;
+    SupportSet support;
+  };
+
+  std::shared_ptr<Live> live_;
   IncrementalLearner learner_;
   double sample_rate_hz_;
-  std::unique_ptr<AsyncUpdater> updater_;
   PredictionStream stream_;
+  /// The background update, learning from `live_`.
+  std::future<Result<UpdateOutcome>> update_;
 
   std::string auto_checkpoint_path_;  ///< empty = auto-checkpointing off
 

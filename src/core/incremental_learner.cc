@@ -4,6 +4,8 @@
 
 #include "common/random.h"
 #include "learn/ewc.h"
+#include "nn/quantized_linear.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -25,6 +27,12 @@ struct LearnerMetrics {
       "learner.train_ms", obs::LatencyBucketsMs());
   obs::Histogram* support_ms = obs::Registry::Global().GetHistogram(
       "learner.support_ms", obs::LatencyBucketsMs());
+  obs::Counter* commits =
+      obs::Registry::Global().GetCounter("learner.commits");
+  obs::Counter* rollbacks =
+      obs::Registry::Global().GetCounter("learner.rollbacks");
+  obs::Gauge* staged_bytes =
+      obs::Registry::Global().GetGauge("learner.staged_bytes");
 };
 
 LearnerMetrics& Metrics() {
@@ -45,45 +53,82 @@ Status CheckStep(const IncrementalOptions& options, UpdateStep step) {
   return Status::Ok();
 }
 
-}  // namespace
-
-Result<UpdateReport> IncrementalLearner::LearnNewActivity(
-    EdgeModel* model, SupportSet* support, const std::string& name,
-    const std::vector<sensors::Recording>& recordings) const {
-  if (model == nullptr || support == nullptr) {
-    return Status::InvalidArgument("model and support must not be null");
-  }
-  UpdateTransaction tx(model, support);
-  // Registration happens on the staged registry: a failure anywhere below
-  // (or of the registration itself) drops the staged copy, the live
-  // registry is never written, and the name stays free for a retry.
-  MAGNETO_ASSIGN_OR_RETURN(sensors::ActivityId id, tx.registry().Register(name));
-  return Update(&tx, model->pipeline(), &model->backbone(), id, recordings,
-                /*is_new_class=*/true);
+/// Bytes of staged state: backbone weights + support exemplars + prototypes.
+size_t StagedBytes(const UpdateOutcome& staged) {
+  const NcmClassifier& classifier = staged.model.classifier();
+  return staged.model.BackboneBytes() + staged.support.MemoryBytes() +
+         classifier.num_classes() * classifier.embedding_dim() *
+             sizeof(float);
 }
 
-Result<UpdateReport> IncrementalLearner::Calibrate(
-    EdgeModel* model, SupportSet* support, sensors::ActivityId id,
-    const std::vector<sensors::Recording>& recordings) const {
-  if (model == nullptr || support == nullptr) {
-    return Status::InvalidArgument("model and support must not be null");
+/// Int8 layers are inference-only (no backward pass): an int8-compressed
+/// deployment cannot be retrained on the device.
+Status CheckTrainable(const EdgeModel& base) {
+  const nn::Sequential& backbone = base.backbone();
+  for (size_t i = 0; i < backbone.num_layers(); ++i) {
+    if (static_cast<uint8_t>(backbone.layer(i).type()) ==
+        nn::kQuantizedLinearTag) {
+      return Status::FailedPrecondition(
+          "the backbone is int8-compressed (inference-only) and cannot be "
+          "retrained on the device");
+    }
   }
-  if (!model->registry().Contains(id)) {
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<UpdateOutcome> IncrementalLearner::LearnNewActivity(
+    const EdgeModel& base, const SupportSet& support, const std::string& name,
+    const std::vector<sensors::Recording>& recordings) const {
+  MAGNETO_RETURN_IF_ERROR(CheckTrainable(base));
+  return Stage(base, support, [&](UpdateOutcome* staged) -> Status {
+    // Registered on the staged registry: a failure anywhere below (or of
+    // the registration itself) drops the copy and the name stays free for
+    // a retry.
+    MAGNETO_ASSIGN_OR_RETURN(sensors::ActivityId id,
+                             staged->model.registry().Register(name));
+    return Update(staged, base, id, recordings, /*is_new_class=*/true);
+  });
+}
+
+Result<UpdateOutcome> IncrementalLearner::Calibrate(
+    const EdgeModel& base, const SupportSet& support, sensors::ActivityId id,
+    const std::vector<sensors::Recording>& recordings) const {
+  MAGNETO_RETURN_IF_ERROR(CheckTrainable(base));
+  if (!base.registry().Contains(id)) {
     return Status::NotFound("cannot calibrate unknown activity: " +
                             std::to_string(id));
   }
-  if (!support->HasClass(id)) {
+  if (!support.HasClass(id)) {
     return Status::FailedPrecondition(
         "activity has no support data to replace: " + std::to_string(id));
   }
-  UpdateTransaction tx(model, support);
-  return Update(&tx, model->pipeline(), &model->backbone(), id, recordings,
-                /*is_new_class=*/false);
+  return Stage(base, support, [&](UpdateOutcome* staged) {
+    return Update(staged, base, id, recordings, /*is_new_class=*/false);
+  });
 }
 
-Result<UpdateReport> IncrementalLearner::Update(
-    UpdateTransaction* tx, const preprocess::Pipeline& pipeline,
-    nn::Sequential* teacher, sensors::ActivityId id,
+Result<UpdateOutcome> IncrementalLearner::Stage(
+    const EdgeModel& base, const SupportSet& support,
+    const std::function<Status(UpdateOutcome*)>& steps) const {
+  UpdateOutcome staged{base.Clone(), support, UpdateReport{}};
+  Metrics().staged_bytes->Set(static_cast<double>(StagedBytes(staged)));
+  const Status status = steps(&staged);
+  Metrics().staged_bytes->Set(0.0);
+  if (!status.ok()) {
+    Metrics().rollbacks->Increment();
+    // A rollback is an anomaly worth a post-mortem: snapshot the recent
+    // serving history (auto-dumps when a dump path is configured).
+    obs::FlightRecorder::Global().NoteAnomaly("update_rollback");
+    return status;
+  }
+  Metrics().commits->Increment();
+  return staged;
+}
+
+Status IncrementalLearner::Update(
+    UpdateOutcome* staged, const EdgeModel& base, sensors::ActivityId id,
     const std::vector<sensors::Recording>& recordings,
     bool is_new_class) const {
   obs::TraceSpan span("IncrementalLearner::Update");
@@ -98,7 +143,7 @@ Result<UpdateReport> IncrementalLearner::Update(
     labeled.push_back({rec, id});
   }
   MAGNETO_ASSIGN_OR_RETURN(sensors::FeatureDataset new_data,
-                           pipeline.ProcessLabeled(labeled));
+                           base.pipeline().ProcessLabeled(labeled));
   Metrics().preprocess_ms->Record(MsSince(preprocess_start));
   if (new_data.empty()) {
     return Status::InvalidArgument(
@@ -106,13 +151,13 @@ Result<UpdateReport> IncrementalLearner::Update(
   }
   MAGNETO_RETURN_IF_ERROR(CheckStep(options_, UpdateStep::kPreprocess));
 
-  // (2) The *live* backbone — untouched until commit — is the frozen
-  // distillation teacher; the staged clone is the student being retrained.
-  // The distillation targets are the embeddings of the retained knowledge:
+  // (2) The base backbone — read-only by type — is the frozen distillation
+  // teacher; the staged clone is the student being retrained. The
+  // distillation targets are the embeddings of the retained knowledge:
   // every support class except the one being (re)learned.
-  const sensors::FeatureDataset retained = is_new_class
-                                               ? tx->support().AsDataset()
-                                               : tx->support().DatasetExcluding(id);
+  const sensors::FeatureDataset retained =
+      is_new_class ? staged->support.AsDataset()
+                   : staged->support.DatasetExcluding(id);
 
   // (3) Joint retraining on old exemplars + fresh windows (or, with
   // rehearsal disabled, the naive fine-tuning baseline).
@@ -129,6 +174,7 @@ Result<UpdateReport> IncrementalLearner::Update(
   // EWC importance is measured on the *pre-update* weights against the
   // retained knowledge, before any weight moves — the staged backbone still
   // carries them at this point.
+  nn::Sequential& student = staged->model.backbone();
   std::unique_ptr<learn::EwcRegularizer> ewc;
   if (use_ewc) {
     learn::EwcRegularizer::Options ewc_options;
@@ -136,25 +182,17 @@ Result<UpdateReport> IncrementalLearner::Update(
     ewc_options.seed = options_.seed ^ 0x5757;
     MAGNETO_ASSIGN_OR_RETURN(
         learn::EwcRegularizer estimated,
-        learn::EwcRegularizer::Estimate(&tx->backbone(), retained,
-                                        ewc_options));
+        learn::EwcRegularizer::Estimate(&student, retained, ewc_options));
     ewc = std::make_unique<learn::EwcRegularizer>(std::move(estimated));
   }
 
   learn::SiameseTrainer trainer(train_options);
   learn::TrainReport train_report;
   const auto train_start = UpdateClock::now();
-  if (distill) {
-    MAGNETO_ASSIGN_OR_RETURN(
-        train_report,
-        trainer.Train(&tx->backbone(), train_data, teacher, &retained,
-                      ewc.get()));
-  } else {
-    MAGNETO_ASSIGN_OR_RETURN(
-        train_report,
-        trainer.Train(&tx->backbone(), train_data, nullptr, nullptr,
-                      ewc.get()));
-  }
+  MAGNETO_ASSIGN_OR_RETURN(
+      train_report,
+      trainer.Train(&student, train_data, distill ? &base.backbone() : nullptr,
+                    distill ? &retained : nullptr, ewc.get()));
   Metrics().train_ms->Record(MsSince(train_start));
   MAGNETO_RETURN_IF_ERROR(CheckStep(options_, UpdateStep::kTrain));
 
@@ -163,24 +201,20 @@ Result<UpdateReport> IncrementalLearner::Update(
   const auto support_start = UpdateClock::now();
   Rng rng(options_.seed ^ static_cast<uint64_t>(id));
   MAGNETO_RETURN_IF_ERROR(
-      tx->support().SetClass(id, new_data, &tx->embedder(), &rng));
+      staged->support.SetClass(id, new_data, &staged->model, &rng));
   MAGNETO_RETURN_IF_ERROR(CheckStep(options_, UpdateStep::kSupportSet));
 
-  // (5) All prototypes move when the backbone moves — rebuild every class.
-  MAGNETO_RETURN_IF_ERROR(tx->RebuildPrototypes());
+  // (5) All prototypes move when the backbone moves — rebuild every class,
+  // keeping the staged classifier's serving config (int8 scans, ANN index).
+  MAGNETO_RETURN_IF_ERROR(staged->model.RebuildPrototypes(staged->support));
   Metrics().support_ms->Record(MsSince(support_start));
   MAGNETO_RETURN_IF_ERROR(CheckStep(options_, UpdateStep::kPrototypes));
 
-  UpdateReport report;
-  report.activity = id;
-  report.new_windows = new_data.size();
-  report.train = std::move(train_report);
-  report.support_bytes = tx->support().MemoryBytes();
-
-  // Every step succeeded against the staged state: install it with one
-  // swap. Nothing before this line has written to the live deployment.
-  tx->Commit();
-  return report;
+  staged->report.activity = id;
+  staged->report.new_windows = new_data.size();
+  staged->report.train = std::move(train_report);
+  staged->report.support_bytes = staged->support.MemoryBytes();
+  return Status::Ok();
 }
 
 }  // namespace magneto::core

@@ -8,14 +8,13 @@
 #include "common/result.h"
 #include "core/edge_model.h"
 #include "core/support_set.h"
-#include "core/update_transaction.h"
 #include "learn/siamese_trainer.h"
 #include "sensors/recording.h"
 
 namespace magneto::core {
 
-/// The steps of one incremental update (§3.3), in execution order. Step
-/// boundaries of the update transaction; used by the failure-injection hook.
+/// The steps of one incremental update (§3.3), in execution order. Used by
+/// the failure-injection hook.
 enum class UpdateStep : uint8_t {
   kPreprocess = 0,  ///< (1) featurize the capture with the frozen pipeline
   kTrain = 1,       ///< (2)+(3) distillation teacher + joint retraining
@@ -51,9 +50,9 @@ struct IncrementalOptions {
   uint64_t seed = 99;
 
   /// Test-only failure injection: invoked after each update step has run
-  /// against the *staged* transaction state; returning an error makes the
-  /// step fail as if the step itself had errored. Production leaves this
-  /// unset. Used to prove the all-or-nothing guarantee at every boundary.
+  /// against the *staged* copy; returning an error makes the step fail as
+  /// if the step itself had errored. Production leaves this unset. Used to
+  /// prove the all-or-nothing guarantee at every boundary.
   std::function<Status(UpdateStep)> failure_hook;
 };
 
@@ -65,6 +64,15 @@ struct UpdateReport {
   size_t support_bytes = 0;     ///< support-set payload after the update
 };
 
+/// The product of one successful update: the complete next deployment.
+/// Installing it is the owner's move (`EdgeRuntime`, `EdgeFleet`);
+/// dropping it is the rollback.
+struct UpdateOutcome {
+  EdgeModel model;
+  SupportSet support;
+  UpdateReport report;
+};
+
 /// Definition 2 of the paper, executed entirely on the edge device:
 /// enriches the model with the user's personal data, either by learning a
 /// brand-new activity or by re-calibrating an existing one, without
@@ -72,18 +80,24 @@ struct UpdateReport {
 ///
 /// The update recipe (§3.3):
 ///   1. preprocess the user's fresh recording into feature windows,
-///   2. freeze a copy of the current backbone as the distillation teacher,
+///   2. keep the current backbone frozen as the distillation teacher,
 ///   3. retrain on {old support set} U {new windows} with the joint
 ///      contrastive + distillation objective,
 ///   4. fold the new windows into the support set (herding),
 ///   5. recompute all NCM prototypes through the updated backbone.
 ///
-/// Every update is transactional: steps (1)-(5) run against an
-/// `UpdateTransaction`'s staged copies and commit with a single swap only
-/// when all of them succeed. An error at *any* step — including a failed
-/// registration of the new name — leaves the model, support set,
-/// prototypes and registry byte-identical to before the call, so a failed
-/// capture is always safely retryable.
+/// An update is a value. Steps (1)-(5) run on a staged copy of `base` and
+/// its support set; the staged model is the student, the herding embedder
+/// and the prototype builder, while `base` — read-only by type — is the
+/// frozen teacher. Success returns the staged copy as an `UpdateOutcome`;
+/// an error at *any* step, including a failed registration of the new
+/// name, drops it, so `base` and its support set are byte-identical after
+/// every call and a failed capture is always safely retryable.
+///
+/// Counters: `learner.commits` (outcomes returned), `learner.rollbacks`
+/// (staged copies dropped; each also notes an `update_rollback` flight
+/// anomaly); the `learner.staged_bytes` gauge reports the staged payload
+/// while an update runs.
 class IncrementalLearner {
  public:
   explicit IncrementalLearner(IncrementalOptions options)
@@ -91,28 +105,33 @@ class IncrementalLearner {
 
   const IncrementalOptions& options() const { return options_; }
 
-  /// Learns a new activity named `name` from the user's recordings. Registers
-  /// the name in the model's registry and returns the update report.
-  Result<UpdateReport> LearnNewActivity(
-      EdgeModel* model, SupportSet* support, const std::string& name,
+  /// Learns a new activity named `name` from the user's recordings. The
+  /// outcome's registry holds the new name.
+  Result<UpdateOutcome> LearnNewActivity(
+      const EdgeModel& base, const SupportSet& support,
+      const std::string& name,
       const std::vector<sensors::Recording>& recordings) const;
 
   /// Re-calibrates the existing activity `id` to the user's personal style:
   /// identical to re-training, except the activity's support data is
   /// *replaced* by the newly acquired data (§3.3, final paragraph).
-  Result<UpdateReport> Calibrate(
-      EdgeModel* model, SupportSet* support, sensors::ActivityId id,
+  Result<UpdateOutcome> Calibrate(
+      const EdgeModel& base, const SupportSet& support,
+      sensors::ActivityId id,
       const std::vector<sensors::Recording>& recordings) const;
 
  private:
-  /// Runs steps (1)-(5) against the transaction's staged state and commits
-  /// on success. `pipeline` and `teacher` belong to the live (read-only
-  /// during the update) model.
-  Result<UpdateReport> Update(
-      UpdateTransaction* tx, const preprocess::Pipeline& pipeline,
-      nn::Sequential* teacher, sensors::ActivityId id,
-      const std::vector<sensors::Recording>& recordings,
-      bool is_new_class) const;
+  /// Stages a copy of `base` + `support`, runs `steps` on it, and returns
+  /// it if every step succeeded (counting the commit or the rollback).
+  Result<UpdateOutcome> Stage(
+      const EdgeModel& base, const SupportSet& support,
+      const std::function<Status(UpdateOutcome*)>& steps) const;
+
+  /// Runs steps (1)-(5) on `staged`, with `base` as the frozen teacher.
+  Status Update(UpdateOutcome* staged, const EdgeModel& base,
+                sensors::ActivityId id,
+                const std::vector<sensors::Recording>& recordings,
+                bool is_new_class) const;
 
   IncrementalOptions options_;
 };

@@ -63,8 +63,8 @@ class NcmClassifier {
   /// through `embedder`), keeping this classifier's serving config: an int8
   /// classifier stays int8 and an ANN-enabled one re-trains its index on the
   /// new prototypes. The classifier is unchanged on error. This is the one
-  /// rebuild path behind `EdgeModel::RebuildPrototypes` and
-  /// `UpdateTransaction::RebuildPrototypes`.
+  /// rebuild path, behind `EdgeModel::RebuildPrototypes` (which every
+  /// incremental update calls on its staged copy of the model).
   Status Rebuild(const SupportSet& support, Embedder* embedder);
 
   Status RemoveClass(sensors::ActivityId id);

@@ -88,8 +88,9 @@ Status CheckDeployable(const core::EdgeModel& model) {
 EdgeFleet::EdgeFleet(core::EdgeModel model, core::SupportSet support,
                      size_t num_sessions, FleetOptions options)
     : options_(std::move(options)) {
-  deployment_ =
-      MakeDeployment(std::move(model), std::move(support), /*version=*/1);
+  PrepareModel(&model);
+  deployment_ = std::make_shared<const Deployment>(
+      Deployment{std::move(model), std::move(support), /*version=*/1});
   const auto& seg = deployment_->model.pipeline().config().segmentation;
   sessions_.reserve(num_sessions);
   for (size_t i = 0; i < num_sessions; ++i) {
@@ -100,7 +101,7 @@ EdgeFleet::EdgeFleet(core::EdgeModel model, core::SupportSet support,
     }
     if (options_.enable_drift_monitoring) {
       session->stream.EnableDriftMonitoring(options_.drift,
-                                            options_.drift_baseline_distance);
+                                            /*baseline_distance=*/0.0);
     }
     if (options_.enable_journal) {
       session->stream.EnableJournal(seg, sensors::kDefaultSampleRateHz);
@@ -148,17 +149,14 @@ Result<std::unique_ptr<EdgeFleet>> EdgeFleet::Create(core::ModelBundle bundle,
 
 // -- Deployment management ----------------------------------------------------
 
-std::shared_ptr<const EdgeFleet::Deployment> EdgeFleet::MakeDeployment(
-    core::EdgeModel model, core::SupportSet support, uint64_t version) const {
+void EdgeFleet::PrepareModel(core::EdgeModel* model) const {
   if (options_.ann.enable) {
-    // Built here, while this deployment is still private to the promoting
-    // thread — the shared pointer flips only once the index is complete.
-    // EnableAnn on a consistent non-empty classifier cannot fail (a small
-    // vocabulary just falls back to exact scans).
-    MAGNETO_CHECK(model.EnableAnn(options_.ann).ok());
+    // Built while the model is still private to the promoting thread — the
+    // shared pointer flips only once the index is complete. EnableAnn on a
+    // consistent non-empty classifier cannot fail (a small vocabulary just
+    // falls back to exact scans).
+    MAGNETO_CHECK(model->EnableAnn(options_.ann).ok());
   }
-  return std::make_shared<const Deployment>(
-      Deployment{std::move(model), std::move(support), version});
 }
 
 std::shared_ptr<const EdgeFleet::Deployment> EdgeFleet::CurrentDeployment()
@@ -171,16 +169,24 @@ uint64_t EdgeFleet::deployment_version() const {
   return CurrentDeployment()->version;
 }
 
-Status EdgeFleet::Promote(core::EdgeModel model, core::SupportSet support) {
+Status EdgeFleet::Promote(core::EdgeModel model, core::SupportSet support,
+                          uint64_t base_version) {
   MAGNETO_RETURN_IF_ERROR(CheckDeployable(model));
   // Copy-on-swap: the new deployment is fully built before the pointer
   // flips, so no reader ever sees a half-initialized model, and in-flight
   // classifications keep their pinned snapshot alive through the shared_ptr.
-  std::shared_ptr<const Deployment> next = MakeDeployment(
-      std::move(model), std::move(support), next_version_.fetch_add(1));
+  PrepareModel(&model);
   {
     std::lock_guard<std::mutex> lock(deploy_mu_);
-    deployment_ = std::move(next);
+    const uint64_t live = deployment_->version;
+    if (base_version != 0 && base_version != live) {
+      return Status::FailedPrecondition(
+          "the update was learned from deployment v" +
+          std::to_string(base_version) + " but v" + std::to_string(live) +
+          " is live");
+    }
+    deployment_ = std::make_shared<const Deployment>(
+        Deployment{std::move(model), std::move(support), live + 1});
   }
   Metrics().promotions->Increment();
   return Status::Ok();
@@ -193,55 +199,63 @@ Status EdgeFleet::PromoteBundle(core::ModelBundle bundle) {
 
 Status EdgeFleet::BeginLearn(const std::string& name,
                              std::vector<sensors::Recording> recordings) {
-  std::shared_ptr<const Deployment> dep = CurrentDeployment();
-  core::AsyncUpdater* updater = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(update_mu_);
-    if (updater_ == nullptr) {
-      updater_ = std::make_unique<core::AsyncUpdater>(options_.update_options);
-    }
-    updater = updater_.get();
+  std::lock_guard<std::mutex> lock(update_mu_);
+  if (update_.valid()) {
+    return Status::FailedPrecondition("an update is already in flight");
   }
-  // StartLearn deep-copies the model and support set (EdgeModel::Clone)
-  // before the trainer runs; `dep` pins them for the duration of the copy.
-  return updater->StartLearn(dep->model, dep->support, name,
-                             std::move(recordings));
+  std::shared_ptr<const Deployment> base = CurrentDeployment();
+  update_base_version_ = base->version;
+  // The task owns `base`: the deployment stays alive (and immutable) for
+  // the learner to stage its copy from and to distil against, whatever
+  // promotions land meanwhile.
+  update_ = std::async(
+      std::launch::async,
+      [learner = core::IncrementalLearner(options_.update_options),
+       base = std::move(base), name, recordings = std::move(recordings)] {
+        return learner.LearnNewActivity(base->model, base->support, name,
+                                        recordings);
+      });
+  return Status::Ok();
 }
 
 bool EdgeFleet::UpdatePending() const {
   std::lock_guard<std::mutex> lock(update_mu_);
-  return updater_ != nullptr && updater_->busy();
+  return update_.valid();
 }
 
 bool EdgeFleet::UpdateReady() const {
   std::lock_guard<std::mutex> lock(update_mu_);
-  return updater_ != nullptr && updater_->ready();
+  return update_.valid() && update_.wait_for(std::chrono::seconds(0)) ==
+                                std::future_status::ready;
 }
 
 Result<core::UpdateReport> EdgeFleet::PromoteUpdate() {
-  core::AsyncUpdater* updater = nullptr;
+  std::lock_guard<std::mutex> promoting(promote_mu_);
   {
     std::lock_guard<std::mutex> lock(update_mu_);
-    updater = updater_.get();
+    if (!update_.valid()) {
+      return Status::FailedPrecondition("no update was started");
+    }
   }
-  if (updater == nullptr) {
-    return Status::FailedPrecondition("no update was started");
+  // Blocks for the learner without update_mu_, so pollers keep answering
+  // and the sessions keep classifying on the current deployment.
+  update_.wait();
+  // Taking the outcome and promoting it is one step under update_mu_, so a
+  // BeginLearn never starts from the deployment this promotion replaces. A
+  // failed update stops before Promote: it never reaches a serving session
+  // and the deployment version does not advance.
+  std::lock_guard<std::mutex> lock(update_mu_);
+  Result<core::UpdateOutcome> outcome = update_.get();
+  Status promoted = outcome.status();
+  if (promoted.ok()) {
+    promoted = Promote(std::move(outcome->model), std::move(outcome->support),
+                       update_base_version_);
   }
-  // Take() blocks for the trainer; the sessions keep classifying on the
-  // current deployment the whole time (update_mu_ is not held here).
-  // A failed update rolled back inside the learner's transaction and
-  // surfaces as an error Outcome — it stops here, before Promote, so a
-  // failed update can never reach a serving session and the deployment
-  // version does not advance.
-  Result<core::AsyncUpdater::Outcome> taken = updater->Take();
-  if (!taken.ok()) {
+  if (!promoted.ok()) {
     Metrics().update_failures->Increment();
-    return taken.status();
+    return promoted;
   }
-  core::AsyncUpdater::Outcome outcome = std::move(taken).value();
-  MAGNETO_RETURN_IF_ERROR(
-      Promote(std::move(outcome.model), std::move(outcome.support)));
-  return std::move(outcome.report);
+  return std::move(outcome->report);
 }
 
 core::ModelBundle EdgeFleet::ToBundle() const {

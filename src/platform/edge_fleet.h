@@ -1,11 +1,11 @@
 #ifndef MAGNETO_PLATFORM_EDGE_FLEET_H_
 #define MAGNETO_PLATFORM_EDGE_FLEET_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -16,7 +16,6 @@
 #include "common/result.h"
 #include "obs/request_context.h"
 #include "core/activity_journal.h"
-#include "core/async_updater.h"
 #include "core/drift_monitor.h"
 #include "core/edge_model.h"
 #include "core/incremental_learner.h"
@@ -65,7 +64,6 @@ struct FleetOptions {
   /// Per-session drift monitoring of the emitted predictions.
   bool enable_drift_monitoring = false;
   core::DriftMonitor::Options drift;
-  double drift_baseline_distance = 0.0;
   /// Per-session activity journals (one entry per window stride at
   /// `sensors::kDefaultSampleRateHz`).
   bool enable_journal = false;
@@ -118,10 +116,11 @@ struct FleetSessionStats {
 ///     sessions classify concurrently with zero shared-state contention
 ///     outside the batcher handoff.
 ///  3. **Copy-on-swap promotion** — `PromoteBundle` (or `PromoteUpdate`,
-///     which takes an `AsyncUpdater` outcome) builds a complete new
-///     deployment and swaps the shared pointer. In-flight classifications
-///     keep the snapshot they pinned and finish on the old model; no
-///     request ever observes a half-updated deployment and nothing stalls.
+///     which installs the `core::UpdateOutcome` a background `BeginLearn`
+///     produced) builds a complete new deployment and swaps the shared
+///     pointer. In-flight classifications keep the snapshot they pinned
+///     and finish on the old model; no request ever observes a
+///     half-updated deployment and nothing stalls.
 ///     A session notices the new version on its next `PushFrame` and resets
 ///     its stream context (same semantics as `EdgeRuntime::CommitUpdate`).
 ///
@@ -211,8 +210,9 @@ class EdgeFleet {
   /// one. Sessions reset their stream context on their next PushFrame.
   Status PromoteBundle(core::ModelBundle bundle);
 
-  /// Snapshots the current deployment and learns `name` on a background
-  /// thread (the sessions keep serving the current model meanwhile).
+  /// Learns `name` on a background thread from the current deployment,
+  /// which the learner pins as its read-only base (the sessions keep
+  /// serving it meanwhile). Fails while another update is pending.
   Status BeginLearn(const std::string& name,
                     std::vector<sensors::Recording> recordings);
 
@@ -222,7 +222,11 @@ class EdgeFleet {
   bool UpdateReady() const;
 
   /// Blocks for the background update if needed and promotes its result.
-  /// On training failure the current deployment stays live.
+  /// On training failure the current deployment stays live. Fails with
+  /// kFailedPrecondition (counted under `fleet.update_failures`, version
+  /// unchanged) when another promotion landed since `BeginLearn`:
+  /// installing an outcome learned from a superseded deployment would
+  /// silently revert it.
   Result<core::UpdateReport> PromoteUpdate();
 
   // -- Introspection ----------------------------------------------------------
@@ -288,13 +292,15 @@ class EdgeFleet {
   EdgeFleet(core::EdgeModel model, core::SupportSet support,
             size_t num_sessions, FleetOptions options);
 
-  /// Builds a deployment, ANN index included, before anyone can see it.
-  std::shared_ptr<const Deployment> MakeDeployment(core::EdgeModel model,
-                                                   core::SupportSet support,
-                                                   uint64_t version) const;
+  /// Applies the fleet's serving config (the ANN index) to a model before
+  /// anyone can see it.
+  void PrepareModel(core::EdgeModel* model) const;
 
   /// Copy-on-swap: builds the next deployment, then flips the pointer.
-  Status Promote(core::EdgeModel model, core::SupportSet support);
+  /// A nonzero `base_version` refuses the swap unless that version is
+  /// still the live one.
+  Status Promote(core::EdgeModel model, core::SupportSet support,
+                 uint64_t base_version = 0);
 
   std::shared_ptr<const Deployment> CurrentDeployment() const;
   const Session& SessionAt(size_t session) const;
@@ -327,10 +333,16 @@ class EdgeFleet {
 
   mutable std::mutex deploy_mu_;
   std::shared_ptr<const Deployment> deployment_;  ///< guarded by deploy_mu_
-  std::atomic<uint64_t> next_version_{2};  ///< version 1 = the Create bundle
 
-  mutable std::mutex update_mu_;               ///< guards updater_ creation
-  std::unique_ptr<core::AsyncUpdater> updater_;  ///< lazily created
+  /// One PromoteUpdate at a time; held while it waits for the learner.
+  std::mutex promote_mu_;
+  /// Guards `update_` and its base version; ordered before deploy_mu_.
+  /// BeginLearn installs the future only when it is invalid and
+  /// PromoteUpdate takes it under promote_mu_, so a promoter may wait on it
+  /// unlocked while pollers call its const members under this mutex.
+  mutable std::mutex update_mu_;
+  std::future<Result<core::UpdateOutcome>> update_;
+  uint64_t update_base_version_ = 0;  ///< the version update_ learns from
 
   std::mutex batch_mu_;
   std::condition_variable batch_cv_;

@@ -1,5 +1,5 @@
 // Incremental-learning stress at hundred-class scale (ISSUE 10, satellite 5):
-// sequential `LearnNewActivity` transactions against a large procedural
+// sequential `LearnNewActivity` commits against a large procedural
 // vocabulary with the ANN prototype index enabled. After every commit the
 // ANN path must agree with an exact scan of the same classifier, and a
 // rollback injected at any update step must leave predictions byte-identical
@@ -109,10 +109,12 @@ TEST(AnnIncrementalStressTest, ParityAfterEverySequentialCommit) {
   IncrementalLearner learner(OneEpochOptions());
   const char* names[] = {"Gesture A", "Gesture B", "Gesture C"};
   for (int u = 0; u < 3; ++u) {
-    auto report = learner.LearnNewActivity(&dep.model, &dep.support, names[u],
-                                           GestureRecordings(20 + u));
+    auto report = testing::Install(
+        learner.LearnNewActivity(dep.model, dep.support, names[u],
+                                 GestureRecordings(20 + u)),
+        &dep.model, &dep.support);
     ASSERT_TRUE(report.ok()) << report.status();
-    // The committed classifier kept its index through the transaction swap.
+    // The committed classifier kept its index through the staged rebuild.
     ASSERT_TRUE(dep.model.classifier().ann_active());
     EXPECT_TRUE(dep.model.classifier().HasClass(report.value().activity));
 
@@ -149,9 +151,10 @@ TEST(AnnIncrementalStressTest, RollbackAtEveryStepKeepsIndexConsistent) {
       return s == step ? Status::Internal("injected") : Status::Ok();
     };
     IncrementalLearner learner(options);
-    auto res = learner.LearnNewActivity(&dep.model, &dep.support,
-                                        "Doomed Gesture",
-                                        GestureRecordings(30));
+    auto res = testing::Install(
+        learner.LearnNewActivity(dep.model, dep.support, "Doomed Gesture",
+                                 GestureRecordings(30)),
+        &dep.model, &dep.support);
     EXPECT_FALSE(res.ok())
         << "step " << static_cast<int>(step) << " did not fail";
     // The live model is untouched: index still serving, predictions
@@ -169,9 +172,10 @@ TEST(AnnIncrementalStressTest, RollbackAtEveryStepKeepsIndexConsistent) {
   // After all those aborted attempts a clean commit still goes through and
   // the rebuilt index serves the new class.
   IncrementalLearner learner(OneEpochOptions());
-  auto report = learner.LearnNewActivity(&dep.model, &dep.support,
-                                         "Doomed Gesture",
-                                         GestureRecordings(30));
+  auto report = testing::Install(
+      learner.LearnNewActivity(dep.model, dep.support, "Doomed Gesture",
+                               GestureRecordings(30)),
+      &dep.model, &dep.support);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(dep.model.classifier().ann_active());
   EXPECT_TRUE(dep.model.classifier().HasClass(report.value().activity));

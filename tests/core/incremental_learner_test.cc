@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "compress/compress.h"
 #include "learn/metrics.h"
+#include "obs/metrics.h"
 #include "sensors/user_profile.h"
 #include "testing/test_helpers.h"
 
@@ -38,6 +40,28 @@ std::vector<sensors::Recording> GestureRecordings(uint64_t seed,
   return {gen.Generate(sensors::MakeGestureModel(seed), seconds)};
 }
 
+/// Learns `name` and installs the outcome into `dep`.
+Result<UpdateReport> Learn(const IncrementalLearner& learner, Deployment* dep,
+                           const std::string& name,
+                           const std::vector<sensors::Recording>& recordings) {
+  return testing::Install(
+      learner.LearnNewActivity(dep->model, dep->support, name, recordings),
+      &dep->model, &dep->support);
+}
+
+/// Full serialized deployment state — backbone weights, prototypes,
+/// registry, and support set.
+std::string StateBytes(const EdgeModel& model, const SupportSet& support) {
+  return ModelBundle::FromEdgeModel(model.Clone(), support)
+      .SerializeToString();
+}
+
+uint64_t CounterValue(const char* name) {
+  const auto snap = obs::Registry::Global().TakeSnapshot();
+  const auto* counter = snap.FindCounter(name);
+  return counter == nullptr ? 0 : counter->value;
+}
+
 /// A deployment loaded from a wire-v3 (int8) bundle and serving through
 /// the ANN index: the serving config every rebuild path must carry across.
 Deployment DeployInt8WithAnn(uint64_t seed) {
@@ -66,13 +90,11 @@ void ExpectInt8WithAnn(const NcmClassifier& classifier) {
 }
 
 TEST(IncrementalLearnerTest, LearnNewActivityKeepsInt8AndAnn) {
-  // The learner rebuilds prototypes through UpdateTransaction; an int8
+  // The learner rebuilds prototypes on its staged copy; an int8
   // deployment must come out of it still scanning int8 codes.
   Deployment dep = DeployInt8WithAnn(303);
   IncrementalLearner learner(FastUpdateOptions());
-  auto report = learner.LearnNewActivity(&dep.model, &dep.support,
-                                         "Gesture Hi",
-                                         GestureRecordings(1));
+  auto report = Learn(learner, &dep, "Gesture Hi", GestureRecordings(1));
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_TRUE(dep.model.classifier().HasClass(report.value().activity));
   ExpectInt8WithAnn(dep.model.classifier());
@@ -89,9 +111,7 @@ TEST(IncrementalLearnerTest, RebuildPrototypesKeepsInt8AndAnn) {
 TEST(IncrementalLearnerTest, LearnNewActivityRegistersAndClassifies) {
   Deployment dep = Deploy(301);
   IncrementalLearner learner(FastUpdateOptions());
-  auto report = learner.LearnNewActivity(&dep.model, &dep.support,
-                                         "Gesture Hi",
-                                         GestureRecordings(1));
+  auto report = Learn(learner, &dep, "Gesture Hi", GestureRecordings(1));
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report.value().new_windows, 25u);
   EXPECT_TRUE(dep.model.registry().Contains(report.value().activity));
@@ -132,10 +152,7 @@ TEST(IncrementalLearnerTest, OldClassesSurviveTheUpdate) {
   const double before = measure(&dep.model);
 
   IncrementalLearner learner(FastUpdateOptions());
-  ASSERT_TRUE(learner
-                  .LearnNewActivity(&dep.model, &dep.support, "Gesture Hi",
-                                    GestureRecordings(3))
-                  .ok());
+  ASSERT_TRUE(Learn(learner, &dep, "Gesture Hi", GestureRecordings(3)).ok());
   const double after = measure(&dep.model);
   // The distillation term keeps old-class accuracy within a modest band.
   EXPECT_GT(after, before - 0.15)
@@ -145,8 +162,7 @@ TEST(IncrementalLearnerTest, OldClassesSurviveTheUpdate) {
 TEST(IncrementalLearnerTest, DuplicateNameRejected) {
   Deployment dep = Deploy(303);
   IncrementalLearner learner(FastUpdateOptions());
-  auto res = learner.LearnNewActivity(&dep.model, &dep.support, "Walk",
-                                      GestureRecordings(4));
+  auto res = Learn(learner, &dep, "Walk", GestureRecordings(4));
   EXPECT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kAlreadyExists);
 }
@@ -157,26 +173,12 @@ TEST(IncrementalLearnerTest, TooShortRecordingFailsAndRollsBack) {
   sensors::SyntheticGenerator gen(5);
   std::vector<sensors::Recording> tiny{
       gen.Generate(sensors::MakeGestureModel(5), 0.5)};  // < one window
-  auto res = learner.LearnNewActivity(&dep.model, &dep.support, "Gesture Hi",
-                                      tiny);
+  auto res = Learn(learner, &dep, "Gesture Hi", tiny);
   EXPECT_FALSE(res.ok());
   // The failed name must be free for a retry with a longer capture.
   EXPECT_FALSE(dep.model.registry().IdOf("Gesture Hi").ok());
-  auto retry = learner.LearnNewActivity(&dep.model, &dep.support,
-                                        "Gesture Hi", GestureRecordings(6));
+  auto retry = Learn(learner, &dep, "Gesture Hi", GestureRecordings(6));
   EXPECT_TRUE(retry.ok()) << retry.status();
-}
-
-TEST(IncrementalLearnerTest, NullArgumentsRejected) {
-  Deployment dep = Deploy(305);
-  IncrementalLearner learner(FastUpdateOptions());
-  EXPECT_FALSE(learner
-                   .LearnNewActivity(nullptr, &dep.support, "X",
-                                     GestureRecordings(7))
-                   .ok());
-  EXPECT_FALSE(
-      learner.LearnNewActivity(&dep.model, nullptr, "X", GestureRecordings(7))
-          .ok());
 }
 
 TEST(IncrementalLearnerTest, CalibrationReplacesSupportData) {
@@ -191,8 +193,9 @@ TEST(IncrementalLearnerTest, CalibrationReplacesSupportData) {
   std::vector<sensors::Recording> capture{gen.Generate(personal_walk, 25.0)};
 
   const size_t size_before = dep.support.ClassSize(sensors::kWalk);
-  auto report =
-      learner.Calibrate(&dep.model, &dep.support, sensors::kWalk, capture);
+  auto report = testing::Install(
+      learner.Calibrate(dep.model, dep.support, sensors::kWalk, capture),
+      &dep.model, &dep.support);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report.value().activity, sensors::kWalk);
   // Support class replaced (same capacity cap).
@@ -215,8 +218,8 @@ TEST(IncrementalLearnerTest, CalibrationReplacesSupportData) {
 TEST(IncrementalLearnerTest, CalibrateUnknownActivityFails) {
   Deployment dep = Deploy(307);
   IncrementalLearner learner(FastUpdateOptions());
-  auto res =
-      learner.Calibrate(&dep.model, &dep.support, 999, GestureRecordings(9));
+  auto res = learner.Calibrate(dep.model, dep.support, 999,
+                               GestureRecordings(9));
   EXPECT_EQ(res.status().code(), StatusCode::kNotFound);
 }
 
@@ -225,11 +228,9 @@ TEST(IncrementalLearnerTest, SequentialUpdatesAddMultipleActivities) {
   // multiple activities" (§3.3).
   Deployment dep = Deploy(308);
   IncrementalLearner learner(FastUpdateOptions());
-  auto r1 = learner.LearnNewActivity(&dep.model, &dep.support, "Gesture Hi",
-                                     GestureRecordings(10));
+  auto r1 = Learn(learner, &dep, "Gesture Hi", GestureRecordings(10));
   ASSERT_TRUE(r1.ok());
-  auto r2 = learner.LearnNewActivity(&dep.model, &dep.support, "Gesture Bye",
-                                     GestureRecordings(11));
+  auto r2 = Learn(learner, &dep, "Gesture Bye", GestureRecordings(11));
   ASSERT_TRUE(r2.ok());
   EXPECT_NE(r1.value().activity, r2.value().activity);
   EXPECT_EQ(dep.model.registry().size(), 7u);
@@ -240,11 +241,105 @@ TEST(IncrementalLearnerTest, SequentialUpdatesAddMultipleActivities) {
 TEST(IncrementalLearnerTest, ReportAccountsSupportBytes) {
   Deployment dep = Deploy(309);
   IncrementalLearner learner(FastUpdateOptions());
-  auto report = learner.LearnNewActivity(&dep.model, &dep.support,
-                                         "Gesture Hi", GestureRecordings(12));
+  auto report = Learn(learner, &dep, "Gesture Hi", GestureRecordings(12));
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.value().support_bytes, dep.support.MemoryBytes());
   EXPECT_GT(report.value().train.epochs.size(), 0u);
+}
+
+TEST(IncrementalLearnerTest, CommitCountsAndReportsSupportBytes) {
+  Deployment dep = Deploy(310);
+  const uint64_t commits = CounterValue("learner.commits");
+  const uint64_t rollbacks = CounterValue("learner.rollbacks");
+  IncrementalLearner learner(FastUpdateOptions());
+  auto outcome = learner.LearnNewActivity(dep.model, dep.support,
+                                          "Gesture Hi", GestureRecordings(5));
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  EXPECT_EQ(CounterValue("learner.commits"), commits + 1);
+  EXPECT_EQ(CounterValue("learner.rollbacks"), rollbacks);
+  EXPECT_EQ(outcome->report.support_bytes, outcome->support.MemoryBytes());
+  // The staged-bytes gauge only reads nonzero while an update is staged.
+  const auto snap = obs::Registry::Global().TakeSnapshot();
+  ASSERT_NE(snap.FindGauge("learner.staged_bytes"), nullptr);
+  EXPECT_EQ(snap.FindGauge("learner.staged_bytes")->value, 0.0);
+}
+
+TEST(IncrementalLearnerTest,
+     DuplicateNameCountsRollbackAndLeavesBaseUntouched) {
+  Deployment dep = Deploy(311);
+  const std::string before = StateBytes(dep.model, dep.support);
+  const uint64_t rollbacks = CounterValue("learner.rollbacks");
+  const uint64_t commits = CounterValue("learner.commits");
+  IncrementalLearner learner(FastUpdateOptions());
+  auto res = learner.LearnNewActivity(dep.model, dep.support, "Walk",
+                                      GestureRecordings(6));
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(StateBytes(dep.model, dep.support), before);
+  EXPECT_EQ(CounterValue("learner.rollbacks"), rollbacks + 1);
+  EXPECT_EQ(CounterValue("learner.commits"), commits);
+}
+
+TEST(IncrementalLearnerTest, BaseStaysByteIdenticalAcrossUpdates) {
+  // The base is read-only by type; this pins that no path (success, a
+  // failure at any step, a calibration) reaches it through a shared buffer.
+  Deployment dep = Deploy(312);
+  const std::string before = StateBytes(dep.model, dep.support);
+  IncrementalLearner learner(FastUpdateOptions());
+  auto learned = learner.LearnNewActivity(dep.model, dep.support,
+                                          "Gesture Hi", GestureRecordings(7));
+  ASSERT_TRUE(learned.ok()) << learned.status();
+  EXPECT_NE(StateBytes(learned->model, learned->support), before);
+  EXPECT_EQ(StateBytes(dep.model, dep.support), before);
+  for (UpdateStep step : {UpdateStep::kPreprocess, UpdateStep::kTrain,
+                          UpdateStep::kSupportSet, UpdateStep::kPrototypes}) {
+    IncrementalOptions options = FastUpdateOptions();
+    options.failure_hook = [step](UpdateStep s) {
+      return s == step ? Status::Internal("injected") : Status::Ok();
+    };
+    auto failed = IncrementalLearner(options).Calibrate(
+        dep.model, dep.support, sensors::kWalk, GestureRecordings(8));
+    EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+    EXPECT_EQ(StateBytes(dep.model, dep.support), before)
+        << "step " << static_cast<int>(step);
+  }
+}
+
+TEST(IncrementalLearnerTest, OutcomeKeepsBaseEmbeddingDim) {
+  Deployment dep = Deploy(313);
+  IncrementalLearner learner(FastUpdateOptions());
+  auto outcome = learner.LearnNewActivity(dep.model, dep.support,
+                                          "Gesture Hi", GestureRecordings(9));
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  EXPECT_EQ(outcome->model.embedding_dim(), dep.model.embedding_dim());
+  EXPECT_EQ(outcome->model.classifier().embedding_dim(),
+            dep.model.embedding_dim());
+}
+
+TEST(IncrementalLearnerTest, Int8BackboneRefusedBeforeStaging) {
+  // An int8-compressed backbone is inference-only: an update must refuse
+  // it up front instead of reaching the int8 layer's backward pass.
+  ModelBundle bundle = testing::SmallPretrainedBundle(314);
+  bundle.backbone = compress::QuantizeBackbone(bundle.backbone).value();
+  SupportSet support = std::move(bundle.support);
+  Deployment dep{std::move(bundle).ToEdgeModel(), std::move(support)};
+  ASSERT_TRUE(dep.model.RebuildPrototypes(dep.support).ok());
+  const uint64_t rollbacks = CounterValue("learner.rollbacks");
+  IncrementalLearner learner(FastUpdateOptions());
+  EXPECT_EQ(learner
+                .LearnNewActivity(dep.model, dep.support, "Gesture Hi",
+                                  GestureRecordings(10))
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(learner
+                .Calibrate(dep.model, dep.support, sensors::kWalk,
+                           GestureRecordings(10))
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  // Refused before staging: nothing was staged, so nothing rolled back.
+  EXPECT_EQ(CounterValue("learner.rollbacks"), rollbacks);
 }
 
 }  // namespace

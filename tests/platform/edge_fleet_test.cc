@@ -322,6 +322,116 @@ TEST(EdgeFleetTest, FailedUpdateIsNeverPromoted) {
   EXPECT_EQ(predictions, 2u);
 }
 
+uint64_t CounterValue(const char* name) {
+  const auto snap = obs::Registry::Global().TakeSnapshot();
+  const auto* counter = snap.FindCounter(name);
+  return counter == nullptr ? 0 : counter->value;
+}
+
+std::vector<sensors::Recording> GestureCapture(uint64_t seed) {
+  sensors::SyntheticGenerator gen(seed);
+  return {gen.Generate(sensors::MakeGestureModel(seed), 20.0)};
+}
+
+TEST(EdgeFleetTest, FailureAtEveryStepLeavesDeploymentByteIdentical) {
+  const std::string wire = testing::SmallPretrainedBundle(811)
+                               .SerializeToString();
+  for (core::UpdateStep step :
+       {core::UpdateStep::kPreprocess, core::UpdateStep::kTrain,
+        core::UpdateStep::kSupportSet, core::UpdateStep::kPrototypes}) {
+    SCOPED_TRACE(static_cast<int>(step));
+    FleetOptions options;
+    options.update_options = FastUpdateOptions();
+    options.update_options.failure_hook = [step](core::UpdateStep s) {
+      return s == step ? Status::Internal("injected step failure")
+                       : Status::Ok();
+    };
+    auto fleet = EdgeFleet::Create(core::ModelBundle::FromString(wire).value(),
+                                   1, options)
+                     .value();
+    const std::string before = fleet->ToBundle().SerializeToString();
+    const uint64_t rollbacks = CounterValue("learner.rollbacks");
+    ASSERT_TRUE(fleet->BeginLearn("Gesture Hi", GestureCapture(35)).ok());
+    EXPECT_EQ(fleet->PromoteUpdate().status().code(), StatusCode::kInternal);
+    EXPECT_EQ(fleet->ToBundle().SerializeToString(), before);
+    EXPECT_EQ(fleet->deployment_version(), 1u);
+    EXPECT_EQ(CounterValue("learner.rollbacks"), rollbacks + 1);
+  }
+}
+
+TEST(EdgeFleetTest, PromoteUpdateAfterPromoteBundleIsRefused) {
+  // The update below learns from v1; promoting it over the v2 bundle would
+  // silently revert that bundle.
+  FleetOptions options;
+  options.update_options = FastUpdateOptions();
+  auto fleet = EdgeFleet::Create(testing::SmallPretrainedBundle(812), 1,
+                                 options)
+                   .value();
+  ASSERT_TRUE(fleet->BeginLearn("Gesture Hi", GestureCapture(36)).ok());
+  ASSERT_TRUE(fleet->PromoteBundle(testing::SmallPretrainedBundle(813)).ok());
+  ASSERT_EQ(fleet->deployment_version(), 2u);
+  const std::string live = fleet->ToBundle().SerializeToString();
+  const uint64_t failures = CounterValue("fleet.update_failures");
+
+  EXPECT_EQ(fleet->PromoteUpdate().status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(fleet->deployment_version(), 2u);
+  EXPECT_EQ(fleet->ToBundle().SerializeToString(), live);
+  EXPECT_EQ(CounterValue("fleet.update_failures"), failures + 1);
+  EXPECT_FALSE(fleet->UpdatePending());
+
+  // Learning again from the promoted bundle lands on top of it.
+  ASSERT_TRUE(fleet->BeginLearn("Gesture Hi", GestureCapture(36)).ok());
+  ASSERT_TRUE(fleet->PromoteUpdate().ok());
+  EXPECT_EQ(fleet->deployment_version(), 3u);
+  EXPECT_TRUE(fleet->ToBundle().registry.IdOf("Gesture Hi").ok());
+}
+
+TEST(EdgeFleetTest, OnlyOneUpdateInFlight) {
+  FleetOptions options;
+  options.update_options = FastUpdateOptions();
+  auto fleet = EdgeFleet::Create(testing::SmallPretrainedBundle(814), 1,
+                                 options)
+                   .value();
+  ASSERT_TRUE(fleet->BeginLearn("A", GestureCapture(37)).ok());
+  EXPECT_EQ(fleet->BeginLearn("B", GestureCapture(38)).code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(fleet->PromoteUpdate().ok());
+  EXPECT_EQ(fleet->PromoteUpdate().status().code(),
+            StatusCode::kFailedPrecondition);
+  // After the promotion, a new update may start — from the promoted model.
+  ASSERT_TRUE(fleet->BeginLearn("B", GestureCapture(38)).ok());
+  ASSERT_TRUE(fleet->PromoteUpdate().ok());
+  EXPECT_EQ(fleet->deployment_version(), 3u);
+  EXPECT_EQ(fleet->ToBundle().registry.size(), 7u);
+}
+
+TEST(EdgeFleetTest, PromoteUpdateWithoutBeginFails) {
+  auto fleet =
+      EdgeFleet::Create(testing::SmallPretrainedBundle(815), 1).value();
+  EXPECT_FALSE(fleet->UpdatePending());
+  EXPECT_FALSE(fleet->UpdateReady());
+  EXPECT_EQ(fleet->PromoteUpdate().status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(fleet->deployment_version(), 1u);
+}
+
+TEST(EdgeFleetTest, DestroyWhileUpdateRuns) {
+  FleetOptions options;
+  options.update_options = FastUpdateOptions();
+  for (int round = 0; round < 2; ++round) {
+    auto fleet = EdgeFleet::Create(testing::SmallPretrainedBundle(816), 1,
+                                   options)
+                     .value();
+    ASSERT_TRUE(fleet->BeginLearn("G", GestureCapture(39)).ok());
+    for (const sensors::Frame& f : ActivityFrames(sensors::kWalk, 1.0, 40)) {
+      ASSERT_TRUE(fleet->PushFrame(0, f).ok());
+    }
+    // Destroyed while training: waits for the update, no crash or leak.
+    fleet.reset();
+  }
+}
+
 TEST(EdgeFleetTest, BatchingKeepsMetricsConsistent) {
   obs::Registry::Global().ResetAll();
   FleetOptions options;
@@ -857,6 +967,112 @@ TEST(EdgeFleetStressTest, ConcurrentSessionsWithMidRunPromotion) {
   // The fleet survives a second promotion after the storm.
   EXPECT_TRUE(fleet->PromoteBundle(fleet->ToBundle()).ok());
   EXPECT_EQ(fleet->deployment_version(), 3u);
+}
+
+TEST(EdgeFleetStressTest, ConcurrentBeginPollPromote) {
+  // Four threads race BeginLearn / UpdatePending / UpdateReady /
+  // PromoteUpdate on one fleet while its sessions keep serving. Under
+  // -DMAGNETO_SANITIZE=thread this is the race detector for the update
+  // future and its two mutexes; unsanitized it still checks the protocol:
+  // every begun update is promoted exactly once, from the live version.
+  constexpr size_t kSessions = 2;
+  FleetOptions options;
+  options.update_options = FastUpdateOptions();
+  options.update_options.train.epochs = 1;
+  auto fleet = EdgeFleet::Create(testing::SmallPretrainedBundle(817),
+                                 kSessions, options)
+                   .value();
+
+  std::atomic<int> begun{0};
+  std::atomic<int> promoted{0};
+  std::atomic<int> errors{0};
+  std::atomic<bool> learning_done{false};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (size_t s = 0; s < kSessions; ++s) {
+    threads.emplace_back([&, s] {
+      const std::vector<sensors::Frame> frames =
+          ActivityFrames(sensors::kWalk, 2.0, 60 + s);
+      while (!stop.load()) {
+        for (const sensors::Frame& f : frames) {
+          if (!fleet->PushFrame(s, f).ok()) errors.fetch_add(1);
+        }
+      }
+    });
+  }
+  auto promote = [&] {
+    auto report = fleet->PromoteUpdate();
+    if (report.ok()) {
+      promoted.fetch_add(1);
+    } else if (report.status().code() != StatusCode::kFailedPrecondition) {
+      errors.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> racers;
+  // Two learners compete to begin updates (distinct names, so every learn
+  // can succeed)...
+  for (int t = 0; t < 2; ++t) {
+    racers.emplace_back([&, t] {
+      for (int i = 0; i < 4; ++i) {
+        const std::string name =
+            "G" + std::to_string(t) + "_" + std::to_string(i);
+        if (fleet->BeginLearn(name, GestureCapture(70 + i)).ok()) {
+          begun.fetch_add(1);
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  }
+  // ...one promoter blocks in PromoteUpdate, and one poller promotes only
+  // once UpdateReady — so two promoters race too.
+  racers.emplace_back([&] {
+    while (!learning_done.load() || fleet->UpdatePending()) promote();
+  });
+  racers.emplace_back([&] {
+    while (!learning_done.load() || fleet->UpdatePending()) {
+      if (fleet->UpdateReady()) promote();
+    }
+  });
+  racers[0].join();
+  racers[1].join();
+  learning_done.store(true);
+  racers[2].join();
+  racers[3].join();
+  stop.store(true);
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_GT(begun.load(), 0);
+  EXPECT_EQ(promoted.load(), begun.load());
+  EXPECT_FALSE(fleet->UpdatePending());
+  EXPECT_EQ(fleet->deployment_version(),
+            1u + static_cast<uint64_t>(promoted.load()));
+  EXPECT_EQ(fleet->ToBundle().registry.size(),
+            5u + static_cast<size_t>(promoted.load()));
+}
+
+TEST(EdgeFleetStressTest, DestroyWhileConcurrentlyPolled) {
+  // Poll/destroy cycles: destruction waits for the learner while a poller
+  // has just been reading the update state.
+  FleetOptions options;
+  options.update_options = FastUpdateOptions();
+  options.update_options.train.epochs = 1;
+  for (int round = 0; round < 3; ++round) {
+    auto fleet = EdgeFleet::Create(testing::SmallPretrainedBundle(818), 1,
+                                   options)
+                     .value();
+    ASSERT_TRUE(fleet->BeginLearn("R" + std::to_string(round),
+                                  GestureCapture(41))
+                    .ok());
+    std::thread poller([&f = *fleet] {
+      for (int i = 0; i < 200; ++i) {
+        f.UpdatePending();
+        f.UpdateReady();
+      }
+    });
+    poller.join();
+    fleet.reset();
+  }
 }
 
 }  // namespace

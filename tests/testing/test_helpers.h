@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/cloud_initializer.h"
+#include "core/incremental_learner.h"
 #include "core/model_bundle.h"
 #include "sensors/signal_model.h"
 #include "sensors/synthetic_generator.h"
@@ -40,6 +41,17 @@ inline core::ModelBundle SmallPretrainedBundle(uint64_t seed = 41) {
                                  sensors::ActivityRegistry::BaseActivities());
   MAGNETO_CHECK(bundle.ok());
   return std::move(bundle).value();
+}
+
+/// Installs a successful update's outcome into `model` + `support` the way a
+/// runtime commits it and returns the report. On error both stay untouched.
+inline Result<core::UpdateReport> Install(Result<core::UpdateOutcome> outcome,
+                                          core::EdgeModel* model,
+                                          core::SupportSet* support) {
+  if (!outcome.ok()) return outcome.status();
+  *model = std::move(outcome->model);
+  *support = std::move(outcome->support);
+  return std::move(outcome->report);
 }
 
 }  // namespace magneto::testing

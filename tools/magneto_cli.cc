@@ -458,18 +458,18 @@ int CmdCalibrate(const Args& args) {
   options.train.learning_rate = 1e-3;
   options.train.distill_weight = 1.0;
   core::IncrementalLearner learner(options);
-  auto report = learner.Calibrate(&model, &support, id.value(), {capture});
-  if (!report.ok()) {
+  auto outcome = learner.Calibrate(model, support, id.value(), {capture});
+  if (!outcome.ok()) {
     std::printf("update rolled back: deployed model unchanged, the capture "
                 "is safely retryable\n");
-    return Fail(report.status(), "calibrate");
+    return Fail(outcome.status(), "calibrate");
   }
   std::printf("update committed: %zu fresh windows folded in\n",
-              report.value().new_windows);
+              outcome->report.new_windows);
 
-  Status saved =
-      core::ModelBundle::FromEdgeModel(std::move(model), std::move(support))
-          .SaveToFile(out);
+  Status saved = core::ModelBundle::FromEdgeModel(std::move(outcome->model),
+                                                  std::move(outcome->support))
+                     .SaveToFile(out);
   if (!saved.ok()) return Fail(saved, "save");
   std::printf("wrote %s\n", out.c_str());
   return 0;
